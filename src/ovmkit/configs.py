@@ -10,7 +10,9 @@ together or not at all.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from dataclasses import dataclass
+from math import prod
 
 from .model import (
     BindingKind,
@@ -61,19 +63,27 @@ def default_budget() -> int:
 
 def unconstrained_count(vm: VariabilityModel) -> int:
     """Number of selections of one variant per active variation point,
-    ignoring interactions. Exact (arbitrary precision)."""
-    def per_vp(vp_id: str) -> int:
-        total = 0
-        for variant in vm.variants_of(vp_id):
-            ways = 1
-            for child in vm.child_vps_of(variant.id):
-                ways *= per_vp(child)
-            total += ways
-        return total
-
+    ignoring interactions. Exact (arbitrary precision); iterative, so depth
+    is unbounded."""
+    options = _options(vm)
+    ways: dict[str, int] = {}
+    open_vps: set[str] = set()  # on the current path; meeting one again is a cycle
     count = 1
     for root in roots(vm):
-        count *= per_vp(root.id)
+        stack = [(root.id, False)]
+        while stack:
+            vp_id, children_done = stack.pop()
+            if children_done:
+                open_vps.discard(vp_id)
+                ways[vp_id] = sum(
+                    prod(ways[c] for c in children) for _, children in options[vp_id])
+            elif vp_id in open_vps:
+                raise ModelError(f"variability refinements form a cycle through {vp_id!r}")
+            elif vp_id not in ways:
+                open_vps.add(vp_id)
+                stack.append((vp_id, True))
+                stack.extend((c, False) for _, children in options[vp_id] for c in children)
+        count *= ways[root.id]
     return count
 
 
@@ -161,15 +171,29 @@ def enumerate_valid(
     return sorted(valid, key=lambda c: c.sorted_ids())
 
 
+def _options(vm: VariabilityModel) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
+    """Per variation point, its variants in id order, each with the child
+    variation points it activates."""
+    children: dict[str, list[str]] = {}
+    for r in vm.refinements:
+        children.setdefault(r.parent_variant_id, []).append(r.child_vp_id)
+    options: dict[str, list[tuple[str, tuple[str, ...]]]] = defaultdict(list)
+    for v in vm.variants:
+        options[v.vp_id].append((v.id, tuple(children.get(v.id, ()))))
+    return options
+
+
 def _selections(vm: VariabilityModel):
-    """Every selection of one variant per active variation point."""
-    def expand(pending: tuple[str, ...], chosen: tuple[str, ...]):
+    """Every selection of one variant per active variation point, depth
+    first: the first pending variation point takes each of its variants in
+    turn, and the variant's children join the pending ones."""
+    options = _options(vm)
+    stack = [(tuple(sorted(vp.id for vp in roots(vm))), ())]
+    while stack:
+        pending, chosen = stack.pop()
         if not pending:
             yield Configuration(selection=frozenset(chosen))
-            return
-        vp_id, rest = pending[0], pending[1:]
-        for variant in vm.variants_of(vp_id):
-            children = vm.child_vps_of(variant.id)
-            yield from expand(rest + children, chosen + (variant.id,))
-
-    yield from expand(tuple(sorted(vp.id for vp in roots(vm))), ())
+            continue
+        rest = pending[1:]
+        for variant_id, children in reversed(options[pending[0]]):
+            stack.append((rest + children, chosen + (variant_id,)))

@@ -13,6 +13,7 @@ sorted by identifier) on construction, so structural equality is plain
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -303,34 +304,28 @@ def tree_size(vm: VariabilityModel, root_vp_id: str) -> int:
     child variation points).
     """
     vm.vp(root_vp_id)
-    return _subtree_variant_count(vm, root_vp_id, seen=set())
+    variants, children = defaultdict(list), defaultdict(list)
+    for v in vm.variants:
+        variants[v.vp_id].append(v.id)
+    for r in vm.refinements:
+        children[r.parent_variant_id].append(r.child_vp_id)
+    return len(tree_variants(variants, children, root_vp_id))
 
 
-def _subtree_variant_count(vm: VariabilityModel, vp_id: str, seen: set[str]) -> int:
-    # The seen set guards traversal on invalid (cyclic) inputs.
-    if vp_id in seen:
-        return 0
-    seen.add(vp_id)
-    total = 0
-    for variant in vm.variants_of(vp_id):
-        total += 1
-        for child in vm.child_vps_of(variant.id):
-            total += _subtree_variant_count(vm, child, seen)
-    return total
-
-
-def tree_vp_ids(vm: VariabilityModel, root_vp_id: str) -> set[str]:
-    """All variation point ids in the tree rooted at the given one."""
-    result: set[str] = set()
-    stack = [root_vp_id]
+def tree_variants(variants: dict, children: dict, root_vp_id: str) -> list[str]:
+    """Ids of the variants in the tree rooted at the given variation point,
+    from variant ids by variation point and child variation points by
+    variant. Iterative, so any depth works; each variation point is visited
+    once, which also guards traversal on invalid (cyclic) inputs."""
+    found, seen, stack = [], set(), [root_vp_id]
     while stack:
         vp_id = stack.pop()
-        if vp_id in result:
-            continue
-        result.add(vp_id)
-        for variant in vm.variants_of(vp_id):
-            stack.extend(vm.child_vps_of(variant.id))
-    return result
+        if vp_id not in seen:
+            seen.add(vp_id)
+            for v in variants.get(vp_id, ()):
+                found.append(v)
+                stack.extend(children.get(v, ()))
+    return found
 
 
 def validate(plm: ProductLineModel) -> list[Violation]:
@@ -478,23 +473,26 @@ def _validate_vm(vm: VariabilityModel) -> list[Violation]:
                 f"variation point {ref.child_vp_id!r} has more than one parent variant"))
         parents[ref.child_vp_id] = ref.parent_variant_id
 
-    # Forest acyclicity over the induced parent-of relation between vps.
+    # Forest acyclicity over the induced parent-of relation between vps: a
+    # vp fails when its ancestor chain enters a cycle. Walks stop at the
+    # first vp already classified, so each vp is walked over once.
     parent_vp = {
         child: variants[parent].vp_id
         for child, parent in parents.items()
         if parent in variants
     }
+    cyclic: dict[str, bool] = {}
     for start in parent_vp:
-        seen = {start}
-        cursor = parent_vp.get(start)
-        while cursor is not None:
-            if cursor in seen:
-                out.append(Violation(
-                    "psi-forest-acyclicity", (start,),
-                    f"variability refinements form a cycle through {start!r}"))
-                break
-            seen.add(cursor)
-            cursor = parent_vp.get(cursor)
+        path, cursor = set(), start
+        while cursor in parent_vp and cursor not in cyclic and cursor not in path:
+            path.add(cursor)
+            cursor = parent_vp[cursor]
+        # The walk ended at a root, at a classified vp, or back on its own path.
+        cyclic.update(dict.fromkeys(path, cyclic.get(cursor, cursor in path)))
+        if cyclic[start]:
+            out.append(Violation(
+                "psi-forest-acyclicity", (start,),
+                f"variability refinements form a cycle through {start!r}"))
     return out
 
 

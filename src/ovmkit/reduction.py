@@ -10,11 +10,23 @@ interactions is the only directed path between its endpoints and pairs
 every target variant with exactly one source variant (uniqueness). Merging
 removes the target, rebinds its activities, re-parents its subtrees, and
 transfers its remaining interactions. Passes repeat until no merge applies.
+
+Everything runs on a mutable working index of a valid model (``_Index``):
+variants by variation point and back, child variation points by variant and
+parent variant by variation point, in- and out-adjacency holding the
+``Interaction`` objects, undirected partner sets, and bindings by target.
+One eligibility function decides a pair in a single walk over the target's
+variants, returning the pairing or the witness of a refusal. A merge
+updates the index in place; ``reduce`` builds one index and the frozen
+model once, at the end. The public checks, ``interacting_pairs`` and
+``merge`` are thin wrappers that index the model they are given.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .model import (
     Binding,
@@ -26,8 +38,8 @@ from .model import (
     VariabilityRefinement,
     VariationPoint,
     roots,
-    tree_size,
-    tree_vp_ids,
+    tree_size,  # re-exported: the bench's traced run wraps reduction.tree_size
+    tree_variants,
 )
 
 
@@ -63,12 +75,194 @@ class ReductionTrace:
     pass_count: int = 0
 
 
+# The eligibility function's refusal reasons, and what a refused merge says.
+_REFUSALS = {
+    "completeness": "not every target variant interacts with the source: "
+                    "{0!r} interacts with no source variant",
+    "partners": "interactions between them are not unique: "
+                "{0!r} interacts with both {1!r} and {2!r}",
+    "path": "interactions between them are not unique: "
+            "the edge {0!r} -> {1!r} has an alternative path",
+    "forest": "transferring its subtrees would break the refinement forest: "
+              "target variant {0!r} is an ancestor of the source",
+}
+
+
+class _Index:
+    """Mutable working view of a variability model and its bindings."""
+
+    def __init__(self, vm: VariabilityModel, bindings=()) -> None:
+        self.vp_of = {v.id: v.vp_id for v in vm.variants}
+        self.variants = {vp.id: [] for vp in vm.variation_points}  # ids ascending
+        for v in vm.variants:
+            self.variants.setdefault(v.vp_id, []).append(v.id)
+        self.parent = {r.child_vp_id: r.parent_variant_id for r in vm.refinements}
+        self.children = defaultdict(list)
+        for r in vm.refinements:
+            self.children[r.parent_variant_id].append(r.child_vp_id)
+        self.out, self.inc, self.partners = defaultdict(set), defaultdict(set), defaultdict(set)
+        for edge in vm.variant_interactions:
+            self._link(edge)
+        self.activities, self.artifacts = defaultdict(set), defaultdict(set)
+        for b in bindings:
+            if b.kind is BindingKind.ACTIVITY_VARIANT:
+                self.activities[b.target_id].add(b.source_id)
+            else:
+                self.artifacts[b.target_id].add(b.source_id)
+
+    def _link(self, edge: Interaction) -> None:
+        self.out[edge.from_id].add(edge)
+        self.inc[edge.to_id].add(edge)
+        self.partners[edge.from_id].add(edge.to_id)
+        self.partners[edge.to_id].add(edge.from_id)
+
+    def root_of(self, vp_id: str) -> str:
+        for _ in range(len(self.parent)):  # bounded, should the input be cyclic
+            if vp_id not in self.parent:
+                break
+            vp_id = self.vp_of[self.parent[vp_id]]
+        return vp_id
+
+    def pairs(self, root_vp_id: str) -> list[tuple[str, str]]:
+        """Pairs in the order ``interacting_pairs`` documents."""
+        vp_of, variants = self.vp_of, self.variants
+        pairs, seen = [], set()
+        for variant_id in sorted(tree_variants(variants, self.children, root_vp_id)):
+            here = vp_of[variant_id]
+            for partner_id in sorted(self.partners.get(variant_id, ())):
+                there = vp_of.get(partner_id)
+                if there is None or there == here:
+                    continue
+                key = (here, there) if here < there else (there, here)
+                if key in seen:
+                    continue
+                seen.add(key)
+                flip = len(variants[there]) > len(variants[here])
+                pairs.append((there, here) if flip else (here, there))
+        return pairs
+
+    def eligibility(self, source: str, target: str):
+        """``(reason, witness, pairing)``: reason is None and pairing maps each
+        target variant to its sole source partner when the merge may go
+        ahead; otherwise reason is a key of ``_REFUSALS``, and a target
+        variant with no partner outranks one with two."""
+        vp_of = self.vp_of
+        pairing, doubled = {}, None
+        for tv in self.variants.get(target, ()):
+            mine = [p for p in self.partners.get(tv, ()) if vp_of.get(p) == source]
+            if not mine:
+                return "completeness", (tv,), None
+            if len(mine) > 1 and doubled is None:
+                doubled = (tv, *sorted(mine)[:2])
+            pairing[tv] = mine[0]
+        if doubled:
+            return "partners", doubled, None
+        for tv, sv in pairing.items():
+            between = [e for e in self.out.get(tv, ()) if e.to_id == sv]
+            between += [e for e in self.inc.get(tv, ()) if e.from_id == sv]
+            for edge in sorted(between):
+                if self._alternative_path(edge):
+                    return "path", (edge.from_id, edge.to_id), None
+        above = self.ancestor_variant(source, target)
+        return ("forest", (above,), None) if above else (None, (), pairing)
+
+    def _alternative_path(self, excluded: Interaction) -> bool:
+        """Is the excluded edge's head reachable from its tail without it?"""
+        seen, stack = {excluded.from_id}, [excluded.from_id]
+        while stack:
+            for edge in self.out.get(stack.pop(), ()):
+                if edge is excluded:
+                    continue
+                if edge.to_id == excluded.to_id:
+                    return True
+                if edge.to_id not in seen:
+                    seen.add(edge.to_id)
+                    stack.append(edge.to_id)
+        return False
+
+    def ancestor_variant(self, source: str, target: str) -> str | None:
+        """The target variant above the source, when merging would fold it
+        into the source and so make the source its own ancestor."""
+        vp_id = source
+        for _ in range(len(self.parent)):  # bounded, should the input be cyclic
+            pv = self.parent.get(vp_id)
+            vp_id = self.vp_of.get(pv)
+            if vp_id == target:
+                paired = any(self.vp_of.get(p) == source for p in self.partners.get(pv, ()))
+                return pv if paired else None
+            if vp_id is None:
+                return None
+        return None
+
+    def merge(self, source: str, target: str, pairing: dict[str, str]):
+        """Fold the target into the source in place, given a full pairing.
+        Returns the record and the variation points whose variants gained or
+        lost partners."""
+        out, inc, vp_of = self.out, self.inc, self.vp_of
+        edges = {e for tv in pairing for e in (*out.get(tv, ()), *inc.get(tv, ()))}
+        changed = set(pairing.values())
+        moved_edges = set()
+        for edge in edges:
+            out[edge.from_id].discard(edge)
+            inc[edge.to_id].discard(edge)
+            changed.update((edge.from_id, edge.to_id))
+            new_from = pairing.get(edge.from_id, edge.from_id)
+            new_to = pairing.get(edge.to_id, edge.to_id)
+            if new_from != new_to:
+                moved_edges.add((edge.from_id, edge.to_id, new_from, new_to))
+                self._link(Interaction(new_from, new_to, edge.kind, edge.level, edge.requires))
+        for tv in pairing:
+            del vp_of[tv]
+            for by_variant in (out, inc, self.partners):
+                by_variant.pop(tv, None)
+        changed.difference_update(pairing)
+        for v in changed:
+            self.partners[v].difference_update(pairing)
+
+        if target in self.parent:
+            self.children[self.parent.pop(target)].remove(target)
+        moved_children, rebound = [], []
+        for tv, sv in pairing.items():
+            for child in self.children.pop(tv, ()):
+                self.parent[child] = sv
+                self.children[sv].append(child)
+                moved_children.append((child, tv, sv))
+            for activity_id in self.activities.pop(tv, ()):
+                rebound.append((activity_id, tv, sv))
+                self.activities[sv].add(activity_id)
+        self.artifacts[source].update(self.artifacts.pop(target, ()))
+        del self.variants[target]
+        record = MergeRecord(
+            source, target, tuple(sorted(pairing.items())), tuple(sorted(rebound)),
+            tuple(sorted(moved_children)), tuple(sorted(moved_edges)))
+        return record, {vp_of[v] for v in changed if v in vp_of} | {source}
+
+    def materialise(self, plm: ProductLineModel) -> ProductLineModel:
+        vm = plm.vm
+        bindings = [Binding(BindingKind.ACTIVITY_VARIANT, a, v)
+                    for v, acts in self.activities.items() for a in acts]
+        bindings += [Binding(BindingKind.ARTIFACT_VP, a, vp_id)
+                     for vp_id, arts in self.artifacts.items() for a in arts]
+        return ProductLineModel(
+            vm=VariabilityModel(
+                variation_points=tuple(vp for vp in vm.variation_points if vp.id in self.variants),
+                variants=tuple(v for v in vm.variants if v.id in self.vp_of),
+                variant_interactions=tuple(e for edges in self.out.values() for e in edges),
+                refinements=tuple(VariabilityRefinement(c, p) for c, p in self.parent.items()),
+            ),
+            artifacts=plm.artifacts,
+            bindings=tuple(bindings),
+        )
+
+
 def main_root(vm: VariabilityModel) -> VariationPoint:
     """The root whose tree holds the most variants; ties go to the smaller id."""
     candidates = roots(vm)
     if not candidates:
         raise ReductionError("model has no variation points")
-    return min(candidates, key=lambda vp: (-tree_size(vm, vp.id), vp.id))
+    index = _Index(vm)
+    size = {vp.id: len(tree_variants(index.variants, index.children, vp.id)) for vp in candidates}
+    return min(candidates, key=lambda vp: (-size[vp.id], vp.id))
 
 
 def interacting_pairs(
@@ -83,47 +277,7 @@ def interacting_pairs(
     tree's side of the encounter is the source. Order is deterministic and
     duplicates are dropped.
     """
-    tree = tree_vp_ids(vm, root_vp_id)
-    variant_vp = {v.id: v.vp_id for v in vm.variants}
-    counts: dict[str, int] = {vp.id: 0 for vp in vm.variation_points}
-    for variant in vm.variants:
-        counts[variant.vp_id] += 1
-
-    partners: dict[str, set[str]] = {}
-    for edge in vm.variant_interactions:
-        partners.setdefault(edge.from_id, set()).add(edge.to_id)
-        partners.setdefault(edge.to_id, set()).add(edge.from_id)
-
-    pairs: list[tuple[str, str]] = []
-    seen: set[frozenset[str]] = set()
-    tree_variants = sorted(v.id for v in vm.variants if v.vp_id in tree)
-    for variant_id in tree_variants:
-        for partner_id in sorted(partners.get(variant_id, ())):
-            vp_here = variant_vp[variant_id]
-            vp_there = variant_vp.get(partner_id)
-            if vp_there is None or vp_there == vp_here:
-                continue
-            key = frozenset((vp_here, vp_there))
-            if key in seen:
-                continue
-            seen.add(key)
-            if counts[vp_there] > counts[vp_here]:
-                pairs.append((vp_there, vp_here))
-            else:
-                pairs.append((vp_here, vp_there))
-    return pairs
-
-
-def _cross_edges(
-    vm: VariabilityModel, source_vp_id: str, target_vp_id: str
-) -> list[Interaction]:
-    """Stored interactions with one endpoint in each variation point."""
-    variant_vp = {v.id: v.vp_id for v in vm.variants}
-    wanted = {source_vp_id, target_vp_id}
-    return [
-        e for e in vm.variant_interactions
-        if {variant_vp.get(e.from_id), variant_vp.get(e.to_id)} == wanted
-    ]
+    return _Index(vm).pairs(root_vp_id)
 
 
 def check_completeness(
@@ -131,14 +285,7 @@ def check_completeness(
 ) -> bool:
     """True iff every target variant interacts, in either direction, with
     some source variant."""
-    sources = {v.id for v in vm.variants_of(source_vp_id)}
-    connected: set[str] = set()
-    for edge in vm.variant_interactions:
-        if edge.from_id in sources:
-            connected.add(edge.to_id)
-        if edge.to_id in sources:
-            connected.add(edge.from_id)
-    return all(v.id in connected for v in vm.variants_of(target_vp_id))
+    return _Index(vm).eligibility(source_vp_id, target_vp_id)[0] != "completeness"
 
 
 def check_uniqueness(
@@ -146,42 +293,10 @@ def check_uniqueness(
 ) -> bool:
     """True iff each source-target interaction is the sole directed path
     between its endpoints and each target variant has exactly one source
-    partner.
-
-    Path search follows interaction direction and never revisits a variant;
-    the checked edge itself is excluded, so a parallel edge or a detour
-    through other variants both defeat uniqueness.
-    """
-    edges = _cross_edges(vm, source_vp_id, target_vp_id)
-    targets = {v.id for v in vm.variants_of(target_vp_id)}
-
-    partner_count: dict[str, set[str]] = {t: set() for t in targets}
-    for edge in edges:
-        if edge.from_id in targets:
-            partner_count[edge.from_id].add(edge.to_id)
-        else:
-            partner_count[edge.to_id].add(edge.from_id)
-    if any(len(p) != 1 for p in partner_count.values()):
-        return False
-
-    return not any(_alternative_path(vm, e) for e in edges)
-
-
-def _pairing(
-    vm: VariabilityModel, source_vp_id: str, target_vp_id: str
-) -> dict[str, str]:
-    """Each target variant mapped to its sole source partner.
-
-    Only meaningful once completeness and uniqueness hold.
-    """
-    targets = {v.id for v in vm.variants_of(target_vp_id)}
-    pairing: dict[str, str] = {}
-    for edge in _cross_edges(vm, source_vp_id, target_vp_id):
-        if edge.from_id in targets:
-            pairing[edge.from_id] = edge.to_id
-        else:
-            pairing[edge.to_id] = edge.from_id
-    return pairing
+    partner. A parallel edge or a detour through other variants both
+    defeat uniqueness."""
+    reason = _Index(vm).eligibility(source_vp_id, target_vp_id)[0]
+    return reason not in ("completeness", "partners", "path")
 
 
 def forest_preserved(
@@ -190,46 +305,11 @@ def forest_preserved(
     """Would merging keep the refinement relation a forest?
 
     Interactions between different hierarchy levels (which lifted models
-    never contain) can pair a variation point with one of its ancestors or
-    descendants; transferring the target's subtrees would then create a
-    refinement cycle. Such pairs are not eligible for merging.
+    never contain) can pair a variation point with one of its ancestors;
+    transferring the ancestor's subtrees would then create a refinement
+    cycle. Such pairs are not eligible for merging.
     """
-    pairing = _pairing(vm, source_vp_id, target_vp_id)
-    variant_vp = {v.id: v.vp_id for v in vm.variants}
-    parent: dict[str, str] = {}
-    for ref in vm.refinements:
-        if ref.child_vp_id == target_vp_id:
-            continue
-        new_parent = pairing.get(ref.parent_variant_id, ref.parent_variant_id)
-        parent[ref.child_vp_id] = variant_vp[new_parent]
-    for start in parent:
-        seen = {start}
-        cursor = parent.get(start)
-        while cursor is not None:
-            if cursor in seen:
-                return False
-            seen.add(cursor)
-            cursor = parent.get(cursor)
-    return True
-
-
-def _alternative_path(vm: VariabilityModel, excluded: Interaction) -> bool:
-    """Is the excluded edge's head reachable from its tail without it?"""
-    outgoing: dict[str, list[Interaction]] = {}
-    for edge in vm.variant_interactions:
-        if edge != excluded:
-            outgoing.setdefault(edge.from_id, []).append(edge)
-    goal = excluded.to_id
-    seen = {excluded.from_id}
-    stack = [excluded.from_id]
-    while stack:
-        for edge in outgoing.get(stack.pop(), ()):
-            if edge.to_id == goal:
-                return True
-            if edge.to_id not in seen:
-                seen.add(edge.to_id)
-                stack.append(edge.to_id)
-    return False
+    return _Index(vm).ancestor_variant(source_vp_id, target_vp_id) is None
 
 
 def merge(
@@ -237,119 +317,94 @@ def merge(
 ) -> tuple[ProductLineModel, MergeRecord]:
     """Merge the target variation point into the source.
 
-    Refuses unless completeness and uniqueness hold. The target and its
-    variants are removed; each activity bound to a removed variant is
-    rebound to that variant's source partner, child variation points are
-    re-parented the same way, and surviving interactions are transferred
-    with direction preserved (self-loops and duplicates are dropped).
+    Refuses, naming the witness, unless completeness and uniqueness hold
+    and the refinements stay a forest. The target and its variants are
+    removed; each activity bound to a removed variant is rebound to that
+    variant's source partner, child variation points are re-parented the
+    same way, and surviving interactions are transferred with direction
+    preserved (self-loops and duplicates are dropped).
     """
-    vm = plm.vm
-    vm.vp(source_vp_id)
-    vm.vp(target_vp_id)
+    plm.vm.vp(source_vp_id)
+    plm.vm.vp(target_vp_id)
     if source_vp_id == target_vp_id:
         raise ReductionError("cannot merge a variation point into itself")
-    if not check_completeness(vm, source_vp_id, target_vp_id):
+    index = _Index(plm.vm, plm.bindings)
+    reason, witness, pairing = index.eligibility(source_vp_id, target_vp_id)
+    if reason is not None:
         raise ReductionError(
             f"refusing to merge {target_vp_id!r} into {source_vp_id!r}: "
-            f"not every target variant interacts with the source")
-    if not check_uniqueness(vm, source_vp_id, target_vp_id):
-        raise ReductionError(
-            f"refusing to merge {target_vp_id!r} into {source_vp_id!r}: "
-            f"interactions between them are not unique")
-    if not forest_preserved(vm, source_vp_id, target_vp_id):
-        raise ReductionError(
-            f"refusing to merge {target_vp_id!r} into {source_vp_id!r}: "
-            f"transferring its subtrees would break the refinement forest")
-
-    targets = {v.id for v in vm.variants_of(target_vp_id)}
-    pairing = _pairing(vm, source_vp_id, target_vp_id)
-
-    transferred_interactions = []
-    new_edges = []
-    for edge in vm.variant_interactions:
-        new_from = pairing.get(edge.from_id, edge.from_id)
-        new_to = pairing.get(edge.to_id, edge.to_id)
-        if new_from == new_to:
-            continue
-        new_edges.append(Interaction(
-            from_id=new_from, to_id=new_to, kind=edge.kind,
-            level=edge.level, requires=edge.requires))
-        if (new_from, new_to) != (edge.from_id, edge.to_id):
-            transferred_interactions.append((edge.from_id, edge.to_id, new_from, new_to))
-
-    transferred_refinements = []
-    new_refinements = []
-    for ref in vm.refinements:
-        if ref.child_vp_id == target_vp_id:
-            continue
-        new_parent = pairing.get(ref.parent_variant_id, ref.parent_variant_id)
-        new_refinements.append(VariabilityRefinement(
-            child_vp_id=ref.child_vp_id, parent_variant_id=new_parent))
-        if new_parent != ref.parent_variant_id:
-            transferred_refinements.append(
-                (ref.child_vp_id, ref.parent_variant_id, new_parent))
-
-    rebound = []
-    new_bindings = []
-    for binding in plm.bindings:
-        if binding.kind is BindingKind.ACTIVITY_VARIANT and binding.target_id in pairing:
-            new_target = pairing[binding.target_id]
-            rebound.append((binding.source_id, binding.target_id, new_target))
-            new_bindings.append(Binding(
-                kind=binding.kind, source_id=binding.source_id, target_id=new_target))
-        elif binding.kind is BindingKind.ARTIFACT_VP and binding.target_id == target_vp_id:
-            # Keep artifact traceability by pointing at the absorbing vp.
-            new_bindings.append(Binding(
-                kind=binding.kind, source_id=binding.source_id, target_id=source_vp_id))
-        else:
-            new_bindings.append(binding)
-
-    new_vm = VariabilityModel(
-        variation_points=tuple(
-            vp for vp in vm.variation_points if vp.id != target_vp_id),
-        variants=tuple(v for v in vm.variants if v.id not in targets),
-        variant_interactions=tuple(new_edges),
-        refinements=tuple(new_refinements),
-    )
-    record = MergeRecord(
-        source_vp_id=source_vp_id,
-        target_vp_id=target_vp_id,
-        variant_pairing=tuple(sorted(pairing.items())),
-        rebound_bindings=tuple(sorted(rebound)),
-        transferred_refinements=tuple(sorted(transferred_refinements)),
-        transferred_interactions=tuple(sorted(set(transferred_interactions))),
-    )
-    merged = ProductLineModel(
-        vm=new_vm, artifacts=plm.artifacts, bindings=tuple(new_bindings))
-    return merged, record
+            + _REFUSALS[reason].format(*witness))
+    record, _ = index.merge(source_vp_id, target_vp_id, pairing)
+    return index.materialise(plm), record
 
 
 def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
     """Merge until no eligible pair remains.
 
     Each pass visits trees in descending size (ascending id on ties) and
-    tries their interacting pairs in order; the first pair passing both
-    checks is merged and the pass restarts, since merging changes tree
-    sizes and can enable or disable other merges. Terminates after at most
-    one merge per variation point.
+    tries their interacting pairs in order; the first eligible pair is
+    merged and the pass restarts, since merging changes tree sizes and can
+    enable or disable other merges. Terminates after at most one merge per
+    variation point.
+
+    A pass skips what the last merge cannot have changed. A merge changes
+    the partners of the variants of a few variation points (``touched``),
+    moves subtrees between two trees, and, folding variants together, can
+    only add directed paths; so a refused pair stays refused unless it
+    involves a touched variation point, or the forest check refused it and
+    its tree changed. Each tree keeps its pairs and how many leading ones
+    are known refused, and a pass visits only the trees not yet refused
+    throughout.
     """
-    merges: list[MergeRecord] = []
-    passes = 0
+    index = _Index(plm.vm, plm.bindings)
+    size = {vp.id: len(tree_variants(index.variants, index.children, vp.id))
+            for vp in plm.vm.variation_points if vp.id not in index.parent}
+    heap = [(-n, root) for root, n in size.items()]  # entries of outdated size are skipped
+    heapify(heap)
+    tree_pairs, refused_upto = {}, {}
+    # A refusal holds while both variation points keep the stamps it was
+    # made at; a merge bumps the stamps of those it touches.
+    refusals, stamp = {}, defaultdict(int)
+    merges = []
     while True:
-        passes += 1
-        vm = plm.vm
-        ordered = sorted(roots(vm), key=lambda vp: (-tree_size(vm, vp.id), vp.id))
-        merged = None
-        for root in ordered:
-            for source_id, target_id in interacting_pairs(vm, root.id):
-                if (check_completeness(vm, source_id, target_id)
-                        and check_uniqueness(vm, source_id, target_id)
-                        and forest_preserved(vm, source_id, target_id)):
-                    plm, record = merge(plm, source_id, target_id)
-                    merged = record
-                    break
-            if merged:
-                break
-        if merged is None:
-            return plm, ReductionTrace(merges=tuple(merges), pass_count=passes)
-        merges.append(merged)
+        found = None
+        while heap and not found:
+            entry = heappop(heap)
+            root = entry[1]
+            if size.get(root) != -entry[0]:
+                continue
+            if root not in tree_pairs:
+                tree_pairs[root] = index.pairs(root)
+            pairs, i = tree_pairs[root], refused_upto.get(root, 0)
+            while i < len(pairs):
+                stamps = stamp[pairs[i][0]], stamp[pairs[i][1]]
+                if refusals.get(pairs[i]) != stamps:
+                    reason, _, pairing = index.eligibility(*pairs[i])
+                    if reason is None:
+                        found = *pairs[i], pairing
+                        heappush(heap, entry)
+                        break
+                    if reason != "forest":
+                        refusals[pairs[i]] = stamps
+                i += 1
+            refused_upto[root] = i
+        if not found:
+            trace = ReductionTrace(merges=tuple(merges), pass_count=len(merges) + 1)
+            return (index.materialise(plm) if merges else plm), trace
+
+        source, target, pairing = found
+        moved = {index.root_of(source), index.root_of(target)}
+        record, touched = index.merge(source, target, pairing)
+        merges.append(record)
+        size.pop(target, None)
+        for vp_id in touched:
+            stamp[vp_id] += 1
+        # Trees whose pairs changed, then also trees holding a pair of a touched vp.
+        stale = (moved | set(map(index.root_of, touched))) & size.keys()
+        for root in stale:
+            size[root] = len(tree_variants(index.variants, index.children, root))
+            tree_pairs.pop(root, None)
+        for root in stale | {index.root_of(index.vp_of[p]) for vp_id in touched
+                             for v in index.variants[vp_id] for p in index.partners[v]}:
+            refused_upto.pop(root, None)
+            heappush(heap, (-size[root], root))

@@ -120,6 +120,23 @@ class TestValidate:
         violations = validate(ProductLineModel(vm=vm))
         assert any(v.invariant == "psi-forest-acyclicity" for v in violations)
 
+    def test_forest_acyclicity_reports_every_vp_above_a_cycle_in_order(self):
+        # Cycles m > n > o > m and x <> y; d, e and f hang off the first
+        # cycle at two depths, w off the second; ok > ok2 is a valid tree.
+        # Every vp whose ancestor chain enters a cycle is reported once, in
+        # refinement order, including tails listed before the cycle.
+        names = ("d", "e", "f", "m", "n", "o", "ok", "ok2", "w", "x", "y")
+        vm = VariabilityModel(
+            variation_points=tuple(vp(n) for n in names),
+            variants=tuple(variant(n + "1", n) for n in names),
+            refinements=tuple(VariabilityRefinement(child, parent) for child, parent in (
+                ("m", "o1"), ("n", "m1"), ("o", "n1"), ("d", "e1"), ("e", "n1"),
+                ("f", "o1"), ("x", "y1"), ("y", "x1"), ("w", "x1"), ("ok2", "ok1"))),
+        )
+        assert [str(v) for v in validate(ProductLineModel(vm=vm))] == [
+            f"psi-forest-acyclicity [{n}]: variability refinements form a cycle through {n!r}"
+            for n in ("d", "e", "f", "m", "n", "o", "w", "x", "y")]
+
     def test_two_parents_rejected(self):
         vm = VariabilityModel(
             variation_points=(vp("a"), vp("b"), vp("c")),

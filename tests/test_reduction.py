@@ -169,6 +169,9 @@ class TestUniqueness:
         )
         assert check_completeness(vm, "src", "tgt") is True
         assert check_uniqueness(vm, "src", "tgt") is False
+        with pytest.raises(ReductionError, match="not unique") as refused:
+            merge(ProductLineModel(vm=vm), "src", "tgt")
+        assert "'t1' interacts with both 's1' and 's2'" in str(refused.value)
 
 
 class TestMerge:
@@ -237,15 +240,19 @@ class TestMerge:
             variant_interactions=(edge("c1", "a1"),),
         )
         plm = ProductLineModel(vm=vm)
-        with pytest.raises(ReductionError, match="forest"):
+        with pytest.raises(ReductionError, match="forest") as refused:
             merge(plm, "vpc", "vpa")
+        # The witness is the target variant above the source.
+        assert "'a1'" in str(refused.value)
         # The opposite direction removes a leaf and stays a forest.
         merged, _ = merge(plm, "vpa", "vpc")
         assert validate(merged) == []
 
     def test_refuses_without_completeness(self, engine_plm):
-        with pytest.raises(ReductionError, match="interacts"):
+        with pytest.raises(ReductionError, match="interacts") as refused:
             merge(engine_plm, "ip", "pf")
+        # The witness is the target variant without a partner.
+        assert "'pf1'" in str(refused.value)
 
     def test_refuses_without_uniqueness(self, engine_plm):
         # Direct edges alongside the detours through the sensing variants
@@ -253,8 +260,10 @@ class TestMerge:
         modified = with_extra_edge(
             with_extra_edge(engine_plm, "p3", "pf3"), "p2", "pf2")
         assert check_completeness(modified.vm, "pf", "ip") is True
-        with pytest.raises(ReductionError, match="not unique"):
+        with pytest.raises(ReductionError, match="not unique") as refused:
             merge(modified, "pf", "ip")
+        # The witness is the first edge that has an alternative path.
+        assert "'p2' -> 'pf2'" in str(refused.value)
 
 
 class TestReduce:
