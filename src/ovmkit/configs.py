@@ -90,6 +90,10 @@ def unconstrained_count(vm: VariabilityModel) -> int:
 def active_vps(vm: VariabilityModel, selection: frozenset[str]) -> set[str]:
     """Variation points activated by the selection: roots, plus children of
     selected variants of active variation points."""
+    return _active(vm, _options(vm), selection)
+
+
+def _active(vm: VariabilityModel, options, selection: frozenset[str]) -> set[str]:
     active: set[str] = set()
     stack = [vp.id for vp in roots(vm)]
     while stack:
@@ -97,9 +101,9 @@ def active_vps(vm: VariabilityModel, selection: frozenset[str]) -> set[str]:
         if vp_id in active:
             continue
         active.add(vp_id)
-        for variant in vm.variants_of(vp_id):
-            if variant.id in selection:
-                stack.extend(vm.child_vps_of(variant.id))
+        for variant_id, children in options[vp_id]:
+            if variant_id in selection:
+                stack.extend(children)
     return active
 
 
@@ -111,11 +115,12 @@ def validate_config(plm: ProductLineModel, cfg: Configuration) -> list[Violation
         if variant_id not in variants:
             raise ModelError(f"unknown variant id: {variant_id}")
 
-    active = active_vps(vm, cfg.selection)
+    options = _options(vm)
+    active = _active(vm, options, cfg.selection)
     out: list[Violation] = []
 
     for vp in vm.variation_points:
-        chosen = [v.id for v in vm.variants_of(vp.id) if v.id in cfg.selection]
+        chosen = [variant_id for variant_id, _ in options[vp.id] if variant_id in cfg.selection]
         if vp.id in active:
             if len(chosen) != 1:
                 out.append(Violation(

@@ -29,6 +29,7 @@ from .model import (
     VariabilityRefinement,
     VariationPoint,
     Variant,
+    check_product_includes,
 )
 
 
@@ -73,12 +74,7 @@ def diff(model: LayeredModel, products: ProductSet | None = None) -> DiffResult:
     error.
     """
     if products is not None:
-        known = {a.id for a in model.activities}
-        for product in products.products:
-            for activity_id in product.includes:
-                if activity_id not in known:
-                    raise DerivationError(
-                        f"product {product.id!r} includes unknown activity {activity_id!r}")
+        check_product_includes(model, products, DerivationError)
         variable = [
             a for a in model.activities
             if any(a.id not in p.includes for p in products.products)

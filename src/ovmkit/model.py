@@ -290,6 +290,18 @@ class ProductSet:
         _normalize(self, "products")
 
 
+def check_product_includes(
+    model: LayeredModel, products: ProductSet, error: type[ModelError]
+) -> None:
+    """Raise ``error`` for the first product that includes an activity the
+    model does not have."""
+    known = {a.id for a in model.activities}
+    for product in products.products:
+        for activity_id in product.includes:
+            if activity_id not in known:
+                raise error(f"product {product.id!r} includes unknown activity {activity_id!r}")
+
+
 def roots(vm: VariabilityModel) -> list[VariationPoint]:
     """Variation points with no parent variant, in ascending id order."""
     children = {r.child_vp_id for r in vm.refinements}

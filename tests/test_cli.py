@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from conftest import GOLDEN_DIR
 from ovmkit import corpus_path
 from ovmkit.cli import main
+
+
+# Child interpreters import ovmkit from this checkout's src/, as pytest does.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def run(capsys, *args):
@@ -81,6 +89,17 @@ class TestReduce:
         assert out.read_bytes() == empty.read_bytes()
         assert json.loads(trace.read_text())["body"]["merges"] == []
 
+    def test_deeply_nested_json_exits_one_without_traceback(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_bytes(b"[" * 100000 + b"]" * 100000)
+        result = subprocess.run(
+            [sys.executable, "-m", "ovmkit", "reduce", "-i", str(deep), "-o", "-"],
+            capture_output=True, env=CHILD_ENV)
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert result.stderr.startswith(b"error: ")
+        assert b"Traceback" not in result.stderr
+
 
 class TestPipeline:
     def test_derive_then_reduce_reproduces_goldens(self, engine_layered_path):
@@ -89,7 +108,7 @@ class TestPipeline:
             f"{sys.executable} -m ovmkit reduce -i - -o -"
         )
         result = subprocess.run(
-            pipeline, shell=True, capture_output=True, check=True)
+            pipeline, shell=True, capture_output=True, check=True, env=CHILD_ENV)
         expected = (GOLDEN_DIR / "engine-flat-derived-reduced.json").read_bytes()
         assert result.stdout == expected
 

@@ -109,6 +109,12 @@ class TestDiff:
             diff(engine_layered, ProductSet(products=(
                 Product("p1", everything), Product("p2", partial))))
 
+    def test_product_with_unknown_activity_raises(self, engine_layered):
+        products = ProductSet(products=(Product("p1", ("sense-pfuel1", "nowhere")),))
+        with pytest.raises(DerivationError) as exc:
+            diff(engine_layered, products)
+        assert str(exc.value) == "product 'p1' includes unknown activity 'nowhere'"
+
     def test_ungroupable_dif_raises(self):
         model = LayeredModel(
             artifacts=(FunctionalArtifact("fns", Layer.FUNCTIONAL, ("a1",)),),

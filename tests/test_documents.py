@@ -14,6 +14,7 @@ from ovmkit.documents import (
     ParseError,
     parse_configuration,
     parse_layered_model,
+    parse_trace,
     parse_variability_model,
     serialize,
 )
@@ -106,6 +107,19 @@ class TestErrors:
         with pytest.raises(ParseError, match="unknown document kind"):
             parse_layered_model(doc.encode())
 
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_variability_model(b"[" * 100000 + b"]" * 100000)
+
+    def test_unknown_trace_subrecord_field_rejected(self):
+        doc = _envelope("reduction-trace", {"pass_count": 1, "merges": [{
+            "source_vp": "a", "target_vp": "b", "pairing": {"b1": "a1"},
+            "rebound_bindings": [
+                {"activity": "x", "from_variant": "b1", "to_variant": "a1", "junk": 1}]}]})
+        with pytest.raises(ParseError) as exc:
+            parse_trace(doc)
+        assert str(exc.value) == "body.merges[0].rebound_bindings[0]: unknown field 'junk'"
+
     def test_unknown_field_rejected(self):
         doc = _envelope("layered-model", {
             "activities": [], "artifacts": [], "interactions": [],
@@ -186,7 +200,6 @@ class TestRoundTrip:
         assert parse_variability_model(data) == extended
 
     def test_trace_round_trips(self, engine_plm):
-        from ovmkit.documents import parse_trace
         from ovmkit.reduction import reduce
         _, trace = reduce(engine_plm)
         data = serialize(trace)
