@@ -61,6 +61,7 @@ from .reduction import (
     main_root,
     merge,
     reduce,
+    verify_trace,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from . import documents
 from .configs import BudgetExceededError
 from .derivation import derive_initial_vm
 from .model import ModelError, ProductLineModel
-from .reduction import ReductionTrace, reduce
+from .reduction import ReductionTrace, reduce, verify_trace
 
 EXIT_OK = 0
 EXIT_MODEL_ERROR = 1
@@ -185,7 +185,10 @@ def _cmd_reduce(args) -> int:
 def _cmd_report(args) -> int:
     before = documents.parse_variability_model(_read(args.before))
     after = documents.parse_variability_model(_read(args.after))
-    trace = documents.parse_trace(_read(args.trace)) if args.trace else None
+    trace = None
+    if args.trace:
+        trace = documents.parse_trace(_read(args.trace))
+        verify_trace(before, trace, after)
     report = build_report(before, after, trace, _budget(args))
 
     if args.format == "json":

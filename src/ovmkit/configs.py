@@ -5,6 +5,11 @@ Roots are always active; a child variation point is active only while its
 parent variant is selected. Interactions act as closure constraints: when
 both endpoint variation points are active, the two variants are selected
 together or not at all.
+
+``validate_config`` is the reference for these rules. ``enumerate_valid``
+finds the valid configurations by a depth-first search over the active
+variation points that cuts a branch as soon as it breaks one of them, so it
+never builds a selection that would fail validation.
 """
 
 from __future__ import annotations
@@ -161,7 +166,26 @@ def enumerate_valid(
     plm: ProductLineModel, budget: int | None = None
 ) -> list[Configuration]:
     """All zero-violation configurations, ordered lexicographically by their
-    sorted variant ids. Refuses when the unconstrained space exceeds the budget."""
+    sorted variant ids. Refuses when the unconstrained space exceeds the budget.
+
+    One depth-first search over the active variation points: the first
+    pending variation point takes each of its variants in turn, and the
+    variant's child variation points join the pending ones. A branch is cut
+    as soon as it breaks what ``validate_config`` rejects:
+
+    - when the model binds any activity to a variant, variants that bind
+      none are never tried. Nor is a variant that would activate a
+      variation point left with no variant to try, and a root left with
+      none leaves no configuration at all;
+    - an interaction is checked once both its variation points have chosen:
+      both variants selected or neither. An interaction between two variants
+      of one variation point rules both out; one whose other variation point
+      never becomes active imposes nothing.
+
+    Every choice keeps one variant per active variation point and none
+    elsewhere, so each leaf is a valid configuration. Assumes a model whose
+    refinements form a forest, as ``validate`` requires.
+    """
     if budget is None:
         budget = default_budget()
     vm = plm.vm
@@ -169,11 +193,58 @@ def enumerate_valid(
     if count > budget:
         raise BudgetExceededError(count, budget)
 
-    valid = [
-        cfg for cfg in _selections(vm)
-        if not validate_config(plm, cfg)
-    ]
-    return sorted(valid, key=lambda c: c.sorted_ids())
+    options = _options(vm)
+    vp_of = {v.id: v.vp_id for v in vm.variants}
+    excluded: set[str] = set()
+    bound = {b.target_id for b in plm.bindings if b.kind is BindingKind.ACTIVITY_VARIANT}
+    if bound:
+        excluded.update(vp_of.keys() - bound)
+    # Per variant, what choosing it asks of another variation point once that
+    # one has chosen too: (vp, variant, whether that variant must be its choice).
+    requires: dict[str, list[tuple[str, str, bool]]] = defaultdict(list)
+    for edge in vm.variant_interactions:
+        a, b = edge.from_id, edge.to_id
+        vp_a, vp_b = vp_of[a], vp_of[b]
+        if vp_a == vp_b:
+            if a != b:
+                excluded.update((a, b))
+            continue
+        for mine, vp_mine, theirs, vp_theirs in ((a, vp_a, b, vp_b), (b, vp_b, a, vp_a)):
+            for variant_id, _ in options[vp_mine]:
+                requires[variant_id].append((vp_theirs, theirs, variant_id == mine))
+    # Children before parents, so that a variant is tried only when it is
+    # allowed and every variation point it activates has a variant to try:
+    # then a branch can always be completed but for its interactions.
+    root_ids = tuple(sorted(vp.id for vp in roots(vm)))
+    order, walk = [], list(root_ids)
+    while walk:
+        order.append(walk.pop())
+        walk.extend(c for _, children in options[order[-1]] for c in children)
+    choices: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+    for vp_id in reversed(order):
+        choices[vp_id] = [
+            (variant_id, children) for variant_id, children in options[vp_id]
+            if variant_id not in excluded and all(choices[c] for c in children)]
+
+    found: list[Configuration] = []
+    # Each entry: the pending variation points and the choices made so far.
+    stack: list[tuple[tuple[str, ...], dict[str, str]]] = []
+    if all(choices[r] for r in root_ids):
+        stack.append((root_ids, {}))
+    while stack:
+        pending, chosen = stack.pop()
+        if not pending:
+            found.append(Configuration(selection=frozenset(chosen.values())))
+            continue
+        vp_id, rest = pending[0], pending[1:]
+        for variant_id, children in reversed(choices[vp_id]):
+            for other_vp, other, must in requires.get(variant_id, ()):
+                picked = chosen.get(other_vp)
+                if picked is not None and (picked == other) != must:
+                    break
+            else:
+                stack.append((rest + children, {**chosen, vp_id: variant_id}))
+    return sorted(found, key=lambda c: c.sorted_ids())
 
 
 def _options(vm: VariabilityModel) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
@@ -186,19 +257,3 @@ def _options(vm: VariabilityModel) -> dict[str, list[tuple[str, tuple[str, ...]]
     for v in vm.variants:
         options[v.vp_id].append((v.id, tuple(children.get(v.id, ()))))
     return options
-
-
-def _selections(vm: VariabilityModel):
-    """Every selection of one variant per active variation point, depth
-    first: the first pending variation point takes each of its variants in
-    turn, and the variant's children join the pending ones."""
-    options = _options(vm)
-    stack = [(tuple(sorted(vp.id for vp in roots(vm))), ())]
-    while stack:
-        pending, chosen = stack.pop()
-        if not pending:
-            yield Configuration(selection=frozenset(chosen))
-            continue
-        rest = pending[1:]
-        for variant_id, children in reversed(options[pending[0]]):
-            stack.append((rest + children, chosen + (variant_id,)))

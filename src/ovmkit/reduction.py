@@ -338,6 +338,29 @@ def merge(
     return index.materialise(plm), record
 
 
+def verify_trace(
+    before: ProductLineModel, trace: ReductionTrace, after: ProductLineModel
+) -> None:
+    """Check that the trace is how ``after`` was reduced from ``before``.
+
+    Re-applies each recorded merge with ``merge``, which must succeed and
+    give the same record, and requires the final model to equal ``after``.
+    Raises ``ModelError`` naming the first merge that differs.
+    """
+    current = before
+    for i, record in enumerate(trace.merges):
+        step = (f"trace merge {i} ({record.target_vp_id!r} into "
+                f"{record.source_vp_id!r})")
+        try:
+            current, applied = merge(current, record.source_vp_id, record.target_vp_id)
+        except ModelError as exc:
+            raise ModelError(f"{step} does not replay: {exc}") from None
+        if applied != record:
+            raise ModelError(f"{step} replays to a different record")
+    if current != after:
+        raise ModelError("replaying the trace on the model before does not give the model after")
+
+
 def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
     """Merge until no eligible pair remains.
 

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 from conftest import GOLDEN_DIR
+from modelgen import random_plm
 from ovmkit import corpus_path
 from ovmkit.cli import main
+from ovmkit.documents import serialize
 
 
 # Child interpreters import ovmkit from this checkout's src/, as pytest does.
@@ -147,6 +150,17 @@ class TestReport:
         assert code == 1
         assert "trace" in err
 
+    def test_trace_of_another_model_with_matching_count_is_an_error(
+            self, capsys, engine_plm_path):
+        # Both traces list two merges; this one reduced the derived engine model.
+        code, out, err = run(
+            capsys, "report", str(engine_plm_path),
+            str(GOLDEN_DIR / "engine-flat-reduced.json"),
+            "--trace", str(GOLDEN_DIR / "engine-flat-derived-trace.json"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: trace merge 0 ")
+
     def test_identical_models_zero_percent(self, capsys, logistics_path):
         code, out, _ = run(
             capsys, "report", str(logistics_path), str(logistics_path),
@@ -170,6 +184,13 @@ class TestReport:
 
 
 class TestConfigs:
+    def test_count_random_model_seed_191(self, capsys, tmp_path):
+        path = tmp_path / "seed-191.json"
+        path.write_bytes(serialize(random_plm(random.Random(191), max_vps=14, max_variants=40)))
+        code, out, _ = run(capsys, "configs", "-i", str(path), "--count")
+        assert code == 0
+        assert out.strip() == "36000 unconstrained, 12 valid"
+
     def test_count_engine(self, capsys, engine_plm_path):
         code, out, _ = run(capsys, "configs", "-i", str(engine_plm_path), "--count")
         assert code == 0

@@ -17,6 +17,11 @@ from ovmkit.configs import (
     validate_config,
 )
 from ovmkit.model import (
+    Binding,
+    BindingKind,
+    Interaction,
+    InteractionKind,
+    InteractionLevel,
     Layer,
     ModelError,
     ProductLineModel,
@@ -175,6 +180,66 @@ class TestEnumerate:
             assert len(valid) <= unconstrained_count(plm.vm)
             for one in valid:
                 assert validate_config(plm, one) == []
+
+
+def bind(*variant_ids):
+    return tuple(
+        Binding(kind=BindingKind.ACTIVITY_VARIANT, source_id=f"act-{v}", target_id=v)
+        for v in variant_ids)
+
+
+def interact(from_id, to_id):
+    return Interaction(from_id=from_id, to_id=to_id, kind=InteractionKind.INFORMATION,
+                       level=InteractionLevel.VARIANT)
+
+
+def listed(plm):
+    return [c.sorted_ids() for c in enumerate_valid(plm)]
+
+
+class TestSearchEdgeCases:
+    def test_active_vp_with_only_unbound_variants(self, engine_plm):
+        # With bindings, no variant of "pf" binds an activity: nothing is valid.
+        stripped = replace(engine_plm, bindings=tuple(
+            b for b in engine_plm.bindings if not b.target_id.startswith("pf")))
+        assert listed(stripped) == []
+
+    def test_unbound_child_vp_ends_only_its_branch(self):
+        plm = replace(hierarchy_fixture(), bindings=bind("r1", "r2"))
+        assert listed(plm) == [("r2",)]
+        assert validate_config(plm, cfg("r1", "s1"))[0].invariant == "variant-unbound"
+
+    def test_interaction_with_inactive_vp_is_vacuous(self):
+        plm = hierarchy_fixture()
+        plm = replace(plm, vm=replace(plm.vm, variant_interactions=(interact("r2", "s1"),)))
+        # Under r1, "sub" is active and s1 would need r2; under r2 it is inactive.
+        assert listed(plm) == [("r1", "s2"), ("r2",)]
+
+    def test_interaction_within_one_vp(self):
+        vm = VariabilityModel(
+            variation_points=(VariationPoint("x", "X", Layer.FUNCTIONAL),),
+            variants=(Variant("x1", "X1", "x"), Variant("x2", "X2", "x"),
+                      Variant("x3", "X3", "x")),
+            variant_interactions=(interact("x1", "x2"),),
+        )
+        plm = ProductLineModel(vm=vm)
+        assert listed(plm) == [("x3",)]
+        assert validate_config(plm, cfg("x1"))[0].invariant == "interaction-closure"
+
+    def test_vp_without_variants_empties_the_space_at_once(self):
+        # Twenty two-way roots, then one with no variants: the budget lets the
+        # empty space through, and the search must not walk the 2**20 before it.
+        vm = VariabilityModel(
+            variation_points=tuple(
+                VariationPoint(f"x{i:02d}", "X", Layer.FUNCTIONAL) for i in range(21)),
+            variants=tuple(
+                Variant(f"x{i:02d}.{j}", "X", f"x{i:02d}") for i in range(20) for j in range(2)),
+        )
+        assert unconstrained_count(vm) == 0
+        assert enumerate_valid(ProductLineModel(vm=vm)) == []
+
+    def test_model_without_variation_points(self):
+        assert enumerate_valid(ProductLineModel()) == [Configuration()]
 
 
 class TestSubsetOracle:

@@ -10,6 +10,7 @@ import pytest
 from ovmkit.documents import serialize
 from ovmkit.model import (
     Interaction,
+    ModelError,
     InteractionKind,
     InteractionLevel,
     Layer,
@@ -29,6 +30,7 @@ from ovmkit.reduction import (
     main_root,
     merge,
     reduce,
+    verify_trace,
 )
 
 
@@ -304,3 +306,28 @@ class TestReduce:
             again, trace = reduce(reduced)
             assert trace.merges == ()
             assert again == reduced
+
+
+class TestVerifyTrace:
+    def test_accepts_the_trace_of_the_reduction(self, engine_plm, logistics_plm):
+        for plm in (engine_plm, logistics_plm):
+            reduced, trace = reduce(plm)
+            verify_trace(plm, trace, reduced)
+
+    def test_rejects_a_merge_that_does_not_replay(self, engine_plm, logistics_plm):
+        _, foreign = reduce(logistics_plm)
+        with pytest.raises(ModelError, match=r"trace merge 0 \('tir' into 'ble'\) does not replay"):
+            verify_trace(engine_plm, foreign, engine_plm)
+
+    def test_rejects_a_record_that_replays_differently(self, engine_plm):
+        reduced, trace = reduce(engine_plm)
+        first, second = trace.merges
+        tampered = replace(trace, merges=(first, replace(second, rebound_bindings=())))
+        with pytest.raises(ModelError, match=r"trace merge 1 \('ip' into 'pf'\) replays to a different record"):
+            verify_trace(engine_plm, tampered, reduced)
+
+    def test_rejects_a_trace_that_stops_short(self, engine_plm):
+        reduced, trace = reduce(engine_plm)
+        short = replace(trace, merges=trace.merges[:1])
+        with pytest.raises(ModelError, match="does not give the model after"):
+            verify_trace(engine_plm, short, reduced)
