@@ -8,8 +8,8 @@ together or not at all.
 
 ``validate_config`` is the reference for these rules. ``enumerate_valid``
 finds the valid configurations by a depth-first search over the active
-variation points that cuts a branch as soon as it breaks one of them, so it
-never builds a selection that would fail validation.
+variation points that cuts a branch as soon as it breaks one of them; it
+shares one children-first walk of the model's lookups with the count.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .model import (
     ProductLineModel,
     VariabilityModel,
     Violation,
-    roots,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -70,62 +69,66 @@ def unconstrained_count(vm: VariabilityModel) -> int:
     """Number of selections of one variant per active variation point,
     ignoring interactions. Exact (arbitrary precision); iterative, so depth
     is unbounded."""
-    options = _options(vm)
+    index = vm._index
     ways: dict[str, int] = {}
+    for vp_id in _children_first(vm):
+        ways[vp_id] = sum(prod(ways[c] for c in index.children.get(v, ()))
+                          for v in index.variants.get(vp_id, ()))
+    return prod(ways[root.id] for root in index.roots)
+
+
+def _children_first(vm: VariabilityModel) -> list[str]:
+    """The variation points reachable from the roots, each after those below
+    it. Iterative; a refinement cycle raises ``ModelError``."""
+    index = vm._index
+    order: dict[str, None] = {}  # an ordered set
     open_vps: set[str] = set()  # on the current path; meeting one again is a cycle
-    count = 1
-    for root in roots(vm):
-        stack = [(root.id, False)]
-        while stack:
-            vp_id, children_done = stack.pop()
-            if children_done:
-                open_vps.discard(vp_id)
-                ways[vp_id] = sum(
-                    prod(ways[c] for c in children) for _, children in options[vp_id])
-            elif vp_id in open_vps:
-                raise ModelError(f"variability refinements form a cycle through {vp_id!r}")
-            elif vp_id not in ways:
-                open_vps.add(vp_id)
-                stack.append((vp_id, True))
-                stack.extend((c, False) for _, children in options[vp_id] for c in children)
-        count *= ways[root.id]
-    return count
+    stack = [(root.id, False) for root in reversed(index.roots)]
+    while stack:
+        vp_id, children_done = stack.pop()
+        if children_done:
+            open_vps.discard(vp_id)
+            order[vp_id] = None
+        elif vp_id in open_vps:
+            raise ModelError(f"variability refinements form a cycle through {vp_id!r}")
+        elif vp_id not in order:
+            open_vps.add(vp_id)
+            stack.append((vp_id, True))
+            stack.extend((c, False) for v in index.variants.get(vp_id, ())
+                         for c in index.children.get(v, ()))
+    return list(order)
 
 
 def active_vps(vm: VariabilityModel, selection: frozenset[str]) -> set[str]:
     """Variation points activated by the selection: roots, plus children of
     selected variants of active variation points."""
-    return _active(vm, _options(vm), selection)
-
-
-def _active(vm: VariabilityModel, options, selection: frozenset[str]) -> set[str]:
+    index = vm._index
     active: set[str] = set()
-    stack = [vp.id for vp in roots(vm)]
+    stack = [vp.id for vp in index.roots]
     while stack:
         vp_id = stack.pop()
         if vp_id in active:
             continue
         active.add(vp_id)
-        for variant_id, children in options[vp_id]:
+        for variant_id in index.variants.get(vp_id, ()):
             if variant_id in selection:
-                stack.extend(children)
+                stack.extend(index.children.get(variant_id, ()))
     return active
 
 
 def validate_config(plm: ProductLineModel, cfg: Configuration) -> list[Violation]:
     """Violations of the configuration against the model; empty means valid."""
     vm = plm.vm
-    variants = vm.variants_by_id()
+    index = vm._index
     for variant_id in sorted(cfg.selection):
-        if variant_id not in variants:
+        if variant_id not in index.vp_of:
             raise ModelError(f"unknown variant id: {variant_id}")
 
-    options = _options(vm)
-    active = _active(vm, options, cfg.selection)
+    active = active_vps(vm, cfg.selection)
     out: list[Violation] = []
 
     for vp in vm.variation_points:
-        chosen = [variant_id for variant_id, _ in options[vp.id] if variant_id in cfg.selection]
+        chosen = [v for v in index.variants[vp.id] if v in cfg.selection]
         if vp.id in active:
             if len(chosen) != 1:
                 out.append(Violation(
@@ -138,9 +141,7 @@ def validate_config(plm: ProductLineModel, cfg: Configuration) -> list[Violation
                 f"variation point {vp.id!r} is not active but {chosen[0]!r} is selected"))
 
     for edge in vm.variant_interactions:
-        vp_from = variants[edge.from_id].vp_id
-        vp_to = variants[edge.to_id].vp_id
-        if vp_from not in active or vp_to not in active:
+        if index.vp_of[edge.from_id] not in active or index.vp_of[edge.to_id] not in active:
             continue
         picked_from = edge.from_id in cfg.selection
         picked_to = edge.to_id in cfg.selection
@@ -193,38 +194,33 @@ def enumerate_valid(
     if count > budget:
         raise BudgetExceededError(count, budget)
 
-    options = _options(vm)
-    vp_of = {v.id: v.vp_id for v in vm.variants}
+    index = vm._index
     excluded: set[str] = set()
     bound = {b.target_id for b in plm.bindings if b.kind is BindingKind.ACTIVITY_VARIANT}
     if bound:
-        excluded.update(vp_of.keys() - bound)
+        excluded.update(index.vp_of.keys() - bound)
     # Per variant, what choosing it asks of another variation point once that
     # one has chosen too: (vp, variant, whether that variant must be its choice).
     requires: dict[str, list[tuple[str, str, bool]]] = defaultdict(list)
     for edge in vm.variant_interactions:
         a, b = edge.from_id, edge.to_id
-        vp_a, vp_b = vp_of[a], vp_of[b]
+        vp_a, vp_b = index.vp_of[a], index.vp_of[b]
         if vp_a == vp_b:
             if a != b:
                 excluded.update((a, b))
             continue
         for mine, vp_mine, theirs, vp_theirs in ((a, vp_a, b, vp_b), (b, vp_b, a, vp_a)):
-            for variant_id, _ in options[vp_mine]:
+            for variant_id in index.variants[vp_mine]:
                 requires[variant_id].append((vp_theirs, theirs, variant_id == mine))
     # Children before parents, so that a variant is tried only when it is
     # allowed and every variation point it activates has a variant to try:
     # then a branch can always be completed but for its interactions.
-    root_ids = tuple(sorted(vp.id for vp in roots(vm)))
-    order, walk = [], list(root_ids)
-    while walk:
-        order.append(walk.pop())
-        walk.extend(c for _, children in options[order[-1]] for c in children)
     choices: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
-    for vp_id in reversed(order):
-        choices[vp_id] = [
-            (variant_id, children) for variant_id, children in options[vp_id]
-            if variant_id not in excluded and all(choices[c] for c in children)]
+    for vp_id in _children_first(vm):
+        options = ((v, index.children.get(v, ())) for v in index.variants.get(vp_id, ()))
+        choices[vp_id] = [(v, children) for v, children in options
+                          if v not in excluded and all(choices[c] for c in children)]
+    root_ids = tuple(vp.id for vp in index.roots)
 
     found: list[Configuration] = []
     # Each entry: the pending variation points and the choices made so far.
@@ -245,15 +241,3 @@ def enumerate_valid(
             else:
                 stack.append((rest + children, {**chosen, vp_id: variant_id}))
     return sorted(found, key=lambda c: c.sorted_ids())
-
-
-def _options(vm: VariabilityModel) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
-    """Per variation point, its variants in id order, each with the child
-    variation points it activates."""
-    children: dict[str, list[str]] = {}
-    for r in vm.refinements:
-        children.setdefault(r.parent_variant_id, []).append(r.child_vp_id)
-    options: dict[str, list[tuple[str, tuple[str, ...]]]] = defaultdict(list)
-    for v in vm.variants:
-        options[v.vp_id].append((v.id, tuple(children.get(v.id, ()))))
-    return options

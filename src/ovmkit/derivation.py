@@ -155,7 +155,7 @@ def map_layers(
         for b in plm.bindings
         if b.kind is BindingKind.ACTIVITY_VARIANT
     }
-    variant_vp = {v.id: v.vp_id for v in plm.vm.variants}
+    variant_vp = plm.vm._index.vp_of
 
     def upper_parents(activity_id: str) -> tuple[str, ...]:
         return tuple(
@@ -165,9 +165,7 @@ def map_layers(
 
     artifact_edges = set(model.interactions)
     variant_edges = set(plm.vm.variant_interactions)
-    parent_edges: dict[str, str] = {
-        r.child_vp_id: r.parent_variant_id for r in plm.vm.refinements
-    }
+    parent_edges: dict[str, str] = dict(plm.vm._index.parent)
 
     def add_parent_edge(child_vp: str, parent_variant: str) -> None:
         existing = parent_edges.get(child_vp)

@@ -8,14 +8,16 @@ refinement edges that arrange variation points into a forest of trees.
 
 All types are immutable values. Collections are normalized (deduplicated,
 sorted by identifier) on construction, so structural equality is plain
-``==`` and serialization order never depends on input order.
+``==`` and serialization order never depends on input order. Models also
+carry lookups (``_index``), built once on first use and never changed after.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType, SimpleNamespace
 
 
 class Layer(str, Enum):
@@ -175,6 +177,13 @@ def _normalize(obj, *names: str) -> None:
         object.__setattr__(obj, name, _sorted_unique(getattr(obj, name)))
 
 
+def _grouped(pairs) -> dict[str, tuple[str, ...]]:
+    groups: dict[str, list[str]] = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return {key: tuple(values) for key, values in groups.items()}
+
+
 @dataclass(frozen=True)
 class LayeredModel:
     """Activities, their artifacts, cross-layer refinements, and interactions."""
@@ -187,25 +196,29 @@ class LayeredModel:
     def __post_init__(self) -> None:
         _normalize(self, "artifacts", "activities", "refinements", "interactions")
 
+    @cached_property
+    def _index(self) -> SimpleNamespace:
+        return SimpleNamespace(
+            activities={a.id: a for a in self.activities},
+            artifacts={a.id: a for a in self.artifacts},
+            parents=_grouped((r.child_artifact_id, r.parent_activity_id) for r in self.refinements),
+        )
+
     def activity(self, activity_id: str) -> Activity:
-        act = self.activities_by_id().get(activity_id)
+        act = self._index.activities.get(activity_id)
         if act is None:
             raise ModelError(f"unknown activity id: {activity_id}")
         return act
 
-    def activities_by_id(self) -> dict[str, Activity]:
-        return {a.id: a for a in self.activities}
+    def activities_by_id(self) -> MappingProxyType[str, Activity]:
+        return MappingProxyType(self._index.activities)
 
-    def artifacts_by_id(self) -> dict[str, FunctionalArtifact]:
-        return {a.id: a for a in self.artifacts}
+    def artifacts_by_id(self) -> MappingProxyType[str, FunctionalArtifact]:
+        return MappingProxyType(self._index.artifacts)
 
     def refinement_parents(self, artifact_id: str) -> tuple[str, ...]:
         """Parent activities the given artifact refines."""
-        return tuple(
-            r.parent_activity_id
-            for r in self.refinements
-            if r.child_artifact_id == artifact_id
-        )
+        return self._index.parents.get(artifact_id, ())
 
     @property
     def is_empty(self) -> bool:
@@ -224,30 +237,42 @@ class VariabilityModel:
     def __post_init__(self) -> None:
         _normalize(self, "variation_points", "variants", "variant_interactions", "refinements")
 
+    @cached_property
+    def _index(self) -> SimpleNamespace:
+        """``parent`` keeps the first of several parent variants."""
+        parent = {r.child_vp_id: r.parent_variant_id for r in reversed(self.refinements)}
+        return SimpleNamespace(
+            vps={vp.id: vp for vp in self.variation_points},
+            variants_by_id={v.id: v for v in self.variants},
+            vp_of={v.id: v.vp_id for v in self.variants},
+            variants={vp.id: () for vp in self.variation_points}
+            | _grouped((v.vp_id, v.id) for v in self.variants),
+            children=_grouped((r.parent_variant_id, r.child_vp_id) for r in self.refinements),
+            parent=parent,
+            roots=tuple(vp for vp in self.variation_points if vp.id not in parent),
+        )
+
     def vp(self, vp_id: str) -> VariationPoint:
-        vp = self.vps_by_id().get(vp_id)
+        vp = self._index.vps.get(vp_id)
         if vp is None:
             raise ModelError(f"unknown variation point id: {vp_id}")
         return vp
 
-    def vps_by_id(self) -> dict[str, VariationPoint]:
-        return {vp.id: vp for vp in self.variation_points}
+    def vps_by_id(self) -> MappingProxyType[str, VariationPoint]:
+        return MappingProxyType(self._index.vps)
 
-    def variants_by_id(self) -> dict[str, Variant]:
-        return {v.id: v for v in self.variants}
+    def variants_by_id(self) -> MappingProxyType[str, Variant]:
+        return MappingProxyType(self._index.variants_by_id)
 
     def variants_of(self, vp_id: str) -> tuple[Variant, ...]:
-        return tuple(v for v in self.variants if v.vp_id == vp_id)
+        return tuple(self._index.variants_by_id[v] for v in self._index.variants.get(vp_id, ()))
 
     def parent_variant_of(self, vp_id: str) -> str | None:
         """Id of the variant the given variation point refines, if any."""
-        for r in self.refinements:
-            if r.child_vp_id == vp_id:
-                return r.parent_variant_id
-        return None
+        return self._index.parent.get(vp_id)
 
     def child_vps_of(self, variant_id: str) -> tuple[str, ...]:
-        return tuple(r.child_vp_id for r in self.refinements if r.parent_variant_id == variant_id)
+        return self._index.children.get(variant_id, ())
 
 
 @dataclass(frozen=True)
@@ -295,17 +320,15 @@ def check_product_includes(
 ) -> None:
     """Raise ``error`` for the first product that includes an activity the
     model does not have."""
-    known = {a.id for a in model.activities}
     for product in products.products:
         for activity_id in product.includes:
-            if activity_id not in known:
+            if activity_id not in model._index.activities:
                 raise error(f"product {product.id!r} includes unknown activity {activity_id!r}")
 
 
 def roots(vm: VariabilityModel) -> list[VariationPoint]:
     """Variation points with no parent variant, in ascending id order."""
-    children = {r.child_vp_id for r in vm.refinements}
-    return [vp for vp in vm.variation_points if vp.id not in children]
+    return list(vm._index.roots)
 
 
 def tree_size(vm: VariabilityModel, root_vp_id: str) -> int:
@@ -316,27 +339,22 @@ def tree_size(vm: VariabilityModel, root_vp_id: str) -> int:
     child variation points).
     """
     vm.vp(root_vp_id)
-    variants, children = defaultdict(list), defaultdict(list)
-    for v in vm.variants:
-        variants[v.vp_id].append(v.id)
-    for r in vm.refinements:
-        children[r.parent_variant_id].append(r.child_vp_id)
-    return len(tree_variants(variants, children, root_vp_id))
+    return len(tree_variants(vm._index, root_vp_id))
 
 
-def tree_variants(variants: dict, children: dict, root_vp_id: str) -> list[str]:
+def tree_variants(index, root_vp_id: str) -> list[str]:
     """Ids of the variants in the tree rooted at the given variation point,
-    from variant ids by variation point and child variation points by
-    variant. Iterative, so any depth works; each variation point is visited
+    from an index's variant ids by variation point and child variation points
+    by variant. Iterative, so any depth works; each variation point is visited
     once, which also guards traversal on invalid (cyclic) inputs."""
     found, seen, stack = [], set(), [root_vp_id]
     while stack:
         vp_id = stack.pop()
         if vp_id not in seen:
             seen.add(vp_id)
-            for v in variants.get(vp_id, ()):
+            for v in index.variants.get(vp_id, ()):
                 found.append(v)
-                stack.extend(children.get(v, ()))
+                stack.extend(index.children.get(v, ()))
     return found
 
 

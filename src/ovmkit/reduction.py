@@ -12,14 +12,14 @@ removes the target, rebinds its activities, re-parents its subtrees, and
 transfers its remaining interactions. Passes repeat until no merge applies.
 
 Everything runs on a mutable working index of a valid model (``_Index``):
-variants by variation point and back, child variation points by variant and
-parent variant by variation point, in- and out-adjacency holding the
-``Interaction`` objects, undirected partner sets, and bindings by target.
-One eligibility function decides a pair in a single walk over the target's
-variants, returning the pairing or the witness of a refusal. A merge
-updates the index in place; ``reduce`` builds one index and the frozen
-model once, at the end. The public checks, ``interacting_pairs`` and
-``merge`` are thin wrappers that index the model they are given.
+copies of the model's variants by variation point and back, child variation
+points by variant and parent variant by variation point, plus in- and
+out-adjacency holding the ``Interaction`` objects, undirected partner sets,
+and bindings by target. One eligibility function decides a pair in a single
+walk over the target's variants, returning the pairing or the witness of a
+refusal. A merge updates the index in place; ``reduce`` and ``verify_trace``
+build one index and the frozen model once, at the end. The public checks,
+``interacting_pairs`` and ``merge`` are thin wrappers indexing their model.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .model import (
     VariabilityRefinement,
     VariationPoint,
     roots,
-    tree_size,  # re-exported: the bench's traced run wraps reduction.tree_size
+    tree_size,
     tree_variants,
 )
 
@@ -92,14 +92,11 @@ class _Index:
     """Mutable working view of a variability model and its bindings."""
 
     def __init__(self, vm: VariabilityModel, bindings=()) -> None:
-        self.vp_of = {v.id: v.vp_id for v in vm.variants}
-        self.variants = {vp.id: [] for vp in vm.variation_points}  # ids ascending
-        for v in vm.variants:
-            self.variants.setdefault(v.vp_id, []).append(v.id)
-        self.parent = {r.child_vp_id: r.parent_variant_id for r in vm.refinements}
-        self.children = defaultdict(list)
-        for r in vm.refinements:
-            self.children[r.parent_variant_id].append(r.child_vp_id)
+        frozen = vm._index
+        self.vps = frozen.vps  # the declared variation points, never changed
+        self.vp_of, self.variants = dict(frozen.vp_of), dict(frozen.variants)
+        self.parent = dict(frozen.parent)
+        self.children = defaultdict(list, {v: list(c) for v, c in frozen.children.items()})
         self.out, self.inc, self.partners = defaultdict(set), defaultdict(set), defaultdict(set)
         for edge in vm.variant_interactions:
             self._link(edge)
@@ -127,7 +124,7 @@ class _Index:
         """Pairs in the order ``interacting_pairs`` documents."""
         vp_of, variants = self.vp_of, self.variants
         pairs, seen = [], set()
-        for variant_id in sorted(tree_variants(variants, self.children, root_vp_id)):
+        for variant_id in sorted(tree_variants(self, root_vp_id)):
             here = vp_of[variant_id]
             for partner_id in sorted(self.partners.get(variant_id, ())):
                 there = vp_of.get(partner_id)
@@ -193,6 +190,20 @@ class _Index:
             if vp_id is None:
                 return None
         return None
+
+    def apply(self, source: str, target: str) -> MergeRecord:
+        """Merge as ``merge`` does, refusing as it does."""
+        for vp_id in (source, target):
+            if vp_id not in self.variants or vp_id not in self.vps:
+                raise ModelError(f"unknown variation point id: {vp_id}")
+        if source == target:
+            raise ReductionError("cannot merge a variation point into itself")
+        reason, witness, pairing = self.eligibility(source, target)
+        if reason is not None:
+            raise ReductionError(
+                f"refusing to merge {target!r} into {source!r}: "
+                + _REFUSALS[reason].format(*witness))
+        return self.merge(source, target, pairing)[0]
 
     def merge(self, source: str, target: str, pairing: dict[str, str]):
         """Fold the target into the source in place, given a full pairing.
@@ -260,9 +271,7 @@ def main_root(vm: VariabilityModel) -> VariationPoint:
     candidates = roots(vm)
     if not candidates:
         raise ReductionError("model has no variation points")
-    index = _Index(vm)
-    size = {vp.id: len(tree_variants(index.variants, index.children, vp.id)) for vp in candidates}
-    return min(candidates, key=lambda vp: (-size[vp.id], vp.id))
+    return min(candidates, key=lambda vp: (-tree_size(vm, vp.id), vp.id))
 
 
 def interacting_pairs(
@@ -324,17 +333,8 @@ def merge(
     same way, and surviving interactions are transferred with direction
     preserved (self-loops and duplicates are dropped).
     """
-    plm.vm.vp(source_vp_id)
-    plm.vm.vp(target_vp_id)
-    if source_vp_id == target_vp_id:
-        raise ReductionError("cannot merge a variation point into itself")
     index = _Index(plm.vm, plm.bindings)
-    reason, witness, pairing = index.eligibility(source_vp_id, target_vp_id)
-    if reason is not None:
-        raise ReductionError(
-            f"refusing to merge {target_vp_id!r} into {source_vp_id!r}: "
-            + _REFUSALS[reason].format(*witness))
-    record, _ = index.merge(source_vp_id, target_vp_id, pairing)
+    record = index.apply(source_vp_id, target_vp_id)
     return index.materialise(plm), record
 
 
@@ -343,21 +343,21 @@ def verify_trace(
 ) -> None:
     """Check that the trace is how ``after`` was reduced from ``before``.
 
-    Re-applies each recorded merge with ``merge``, which must succeed and
-    give the same record, and requires the final model to equal ``after``.
-    Raises ``ModelError`` naming the first merge that differs.
+    Re-applies each recorded merge as ``merge`` would, on one index of
+    ``before``: each must give the same record, and the final model must
+    equal ``after``. Raises ``ModelError`` naming the first merge that differs.
     """
-    current = before
+    index = _Index(before.vm, before.bindings)
     for i, record in enumerate(trace.merges):
         step = (f"trace merge {i} ({record.target_vp_id!r} into "
                 f"{record.source_vp_id!r})")
         try:
-            current, applied = merge(current, record.source_vp_id, record.target_vp_id)
+            applied = index.apply(record.source_vp_id, record.target_vp_id)
         except ModelError as exc:
             raise ModelError(f"{step} does not replay: {exc}") from None
         if applied != record:
             raise ModelError(f"{step} replays to a different record")
-    if current != after:
+    if index.materialise(before) != after:
         raise ModelError("replaying the trace on the model before does not give the model after")
 
 
@@ -380,8 +380,7 @@ def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
     throughout.
     """
     index = _Index(plm.vm, plm.bindings)
-    size = {vp.id: len(tree_variants(index.variants, index.children, vp.id))
-            for vp in plm.vm.variation_points if vp.id not in index.parent}
+    size = {vp.id: len(tree_variants(index, vp.id)) for vp in roots(plm.vm)}
     heap = [(-n, root) for root, n in size.items()]  # entries of outdated size are skipped
     heapify(heap)
     tree_pairs, refused_upto = {}, {}
@@ -425,7 +424,7 @@ def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
         # Trees whose pairs changed, then also trees holding a pair of a touched vp.
         stale = (moved | set(map(index.root_of, touched))) & size.keys()
         for root in stale:
-            size[root] = len(tree_variants(index.variants, index.children, root))
+            size[root] = len(tree_variants(index, root))
             tree_pairs.pop(root, None)
         for root in stale | {index.root_of(index.vp_of[p]) for vp_id in touched
                              for v in index.variants[vp_id] for p in index.partners[v]}:

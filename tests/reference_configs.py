@@ -7,15 +7,16 @@ replaced. Kept only to check the search against.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from ovmkit.configs import (
     BudgetExceededError,
     Configuration,
-    _options,
     default_budget,
     unconstrained_count,
     validate_config,
 )
-from ovmkit.model import ProductLineModel, VariabilityModel, roots
+from ovmkit.model import ProductLineModel, VariabilityModel, VariationPoint
 
 
 def enumerate_valid(
@@ -51,3 +52,23 @@ def _selections(vm: VariabilityModel):
         rest = pending[1:]
         for variant_id, children in reversed(options[pending[0]]):
             stack.append((rest + children, chosen + (variant_id,)))
+
+
+# Frozen copies of the helpers this oracle used from ovmkit.configs and
+# ovmkit.model, so that later changes there cannot move it.
+def _options(vm: VariabilityModel) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
+    """Per variation point, its variants in id order, each with the child
+    variation points it activates."""
+    children: dict[str, list[str]] = {}
+    for r in vm.refinements:
+        children.setdefault(r.parent_variant_id, []).append(r.child_vp_id)
+    options: dict[str, list[tuple[str, tuple[str, ...]]]] = defaultdict(list)
+    for v in vm.variants:
+        options[v.vp_id].append((v.id, tuple(children.get(v.id, ()))))
+    return options
+
+
+def roots(vm: VariabilityModel) -> list[VariationPoint]:
+    """Variation points with no parent variant, in ascending id order."""
+    children = {r.child_vp_id for r in vm.refinements}
+    return [vp for vp in vm.variation_points if vp.id not in children]

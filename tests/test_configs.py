@@ -29,6 +29,7 @@ from ovmkit.model import (
     VariabilityRefinement,
     VariationPoint,
     Variant,
+    validate,
 )
 from ovmkit.reduction import reduce
 
@@ -81,6 +82,34 @@ class TestUnconstrainedCount:
                 for i in range(40) for j in range(3)),
         )
         assert unconstrained_count(vm) == 3 ** 40
+
+
+class TestRefinementCycle:
+    """Root R opens A through r1; A also refines b1, the variant of B, which
+    refines a1, the variant of A. So A has two parent variants, and the
+    walk down from R meets A again below itself."""
+
+    @staticmethod
+    def two_parent_cycle() -> ProductLineModel:
+        return ProductLineModel(vm=VariabilityModel(
+            variation_points=tuple(
+                VariationPoint(vp_id, vp_id, Layer.FEATURE) for vp_id in "ABR"),
+            variants=(Variant("r1", "R1", "R"), Variant("a1", "A1", "A"),
+                      Variant("b1", "B1", "B")),
+            refinements=(VariabilityRefinement("A", "r1"), VariabilityRefinement("A", "b1"),
+                         VariabilityRefinement("B", "a1")),
+        ))
+
+    def test_count_and_enumeration_name_the_cycle(self):
+        plm = self.two_parent_cycle()
+        for call in (lambda: unconstrained_count(plm.vm), lambda: enumerate_valid(plm)):
+            with pytest.raises(ModelError, match="^variability refinements form a cycle through 'A'$"):
+                call()
+
+    def test_validate_reports_the_second_parent(self):
+        plm = self.two_parent_cycle()
+        assert [str(v).split(":")[0] for v in validate(plm)] == ["psi-single-parent [A]"]
+        assert plm.vm.parent_variant_of("A") == "b1"
 
 
 class TestValidateConfig:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import GOLDEN_DIR
 from modelgen import random_plm
+from ovmkit.documents import parse_variability_model, serialize
 from ovmkit.model import (
     Interaction,
     InteractionKind,
@@ -23,6 +26,7 @@ from ovmkit.model import (
     tree_size,
     validate,
 )
+from ovmkit.reduction import merge, reduce, verify_trace
 
 
 def vp(vp_id, level=Layer.FUNCTIONAL):
@@ -95,6 +99,43 @@ class TestRoots:
 
     def test_empty_model(self):
         assert roots(VariabilityModel()) == []
+
+
+def lookups(plm: ProductLineModel) -> tuple:
+    vm = plm.vm
+    return (
+        roots(vm),
+        {r.id: tree_size(vm, r.id) for r in roots(vm)},
+        {p.id: vm.variants_of(p.id) for p in vm.variation_points},
+        {v.id: vm.child_vps_of(v.id) for v in vm.variants},
+        {p.id: vm.parent_variant_of(p.id) for p in vm.variation_points},
+        serialize(plm),
+    )
+
+
+class TestIndex:
+    """A model's lookups are built once and shared, so neither the library's
+    working copies nor callers may change them."""
+
+    def test_reduce_and_merge_leave_their_input_as_it_was(self):
+        plm = parse_variability_model((GOLDEN_DIR / "hierarchical-derived.json").read_bytes())
+        before = lookups(plm)
+        reduced, trace = reduce(plm)
+        assert any(m.transferred_refinements for m in trace.merges)
+        for record in trace.merges[:2]:
+            merge(plm, record.source_vp_id, record.target_vp_id)
+        verify_trace(plm, trace, reduced)
+        assert lookups(plm) == before
+
+    def test_mutating_a_returned_lookup_changes_no_later_answer(self, engine_layered, engine_plm):
+        for lookup in (engine_plm.vm.vps_by_id, engine_plm.vm.variants_by_id,
+                       engine_layered.activities_by_id, engine_layered.artifacts_by_id):
+            got = lookup()
+            expected = dict(got)
+            for key in (next(iter(got)), "new-id"):
+                with contextlib.suppress(TypeError):
+                    got[key] = None
+            assert lookup() == expected
 
 
 class TestValidate:
