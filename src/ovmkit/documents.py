@@ -10,13 +10,23 @@ One field table per record shape, built at import, drives both directions: a
 row gives the JSON key, the attribute, the codec, and for an optional field
 the default read when the key is absent and left out when writing. Rows go
 in reading order, which fixes the first error a faulty document reports.
+
+The writer makes text, not dicts: each table keeps its rows sorted by key,
+each with its ``"key": `` prefix, and each codec writes its value's JSON
+text (strings through the C escaper of ``json.encoder``). The bytes are
+those of ``json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True)``
+plus a newline. A string with a lone surrogate has no UTF-8 form, so the
+reader rejects it, naming the field; the check runs only on a text that
+holds a ``\\u`` escape.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import partial
+from json.encoder import encode_basestring as _escape
 from operator import attrgetter, itemgetter
 from typing import Any, NamedTuple
 
@@ -82,6 +92,8 @@ def load_document(data: bytes) -> ModelDocument:
         ) from None
     except RecursionError:
         raise ParseError("invalid JSON: arrays and objects are nested too deeply") from None
+    if "\\u" in text:  # only a \u escape can spell a lone surrogate
+        _reject_lone_surrogates(raw)
     obj = _object(raw, "document")
     _reject_unknown(obj, "document", {"schema_version", "kind", "body"})
     version = _string(obj, "document", "schema_version")
@@ -135,26 +147,47 @@ def parse_trace(data: bytes) -> ReductionTrace:
 def serialize(model, *, products: ProductSet | None = None) -> bytes:
     """Canonical document bytes for a model, configuration, or trace."""
     if isinstance(model, LayeredModel):
-        kind, body = KIND_LAYERED, _LAYERED.write(model)
+        parts = _LAYERED.parts(model)
         if products is not None:
-            body["products"] = _PRODUCTS.write(products.products)
+            # Keys are lowercase names, so the parts sort as their keys do.
+            parts = sorted(parts + ['"products": ' + _PRODUCTS.text(products.products)])
+        kind, body = KIND_LAYERED, _object_text(parts)
     elif isinstance(model, ProductLineModel):
         if model.artifacts.is_empty and not model.bindings:
-            kind, body = KIND_VARIABILITY, _VARIABILITY.write(model)
+            kind, body = KIND_VARIABILITY, _VARIABILITY.text(model)
         else:
-            kind, body = KIND_PRODUCT_LINE, {
-                "layered": _LAYERED.write(model.artifacts),
-                "variability": _VARIABILITY.write(model),
-            }
+            kind, body = KIND_PRODUCT_LINE, _object_text([
+                '"layered": ' + _LAYERED.text(model.artifacts),
+                '"variability": ' + _VARIABILITY.text(model)])
     elif isinstance(model, Configuration):
-        kind, body = KIND_CONFIGURATION, _CONFIGURATION.write(model)
+        kind, body = KIND_CONFIGURATION, _CONFIGURATION.text(model)
     elif isinstance(model, ReductionTrace):
-        kind, body = KIND_TRACE, _TRACE.write(model)
+        kind, body = KIND_TRACE, _TRACE.text(model)
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "body": body}
-    text = json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True)
-    return text.encode("utf-8") + b"\n"
+    # One piece for the envelope: each copy of a large text adds to peak memory.
+    body = body.replace("\n", "\n  ")
+    return (f'{{\n  "body": {body},\n  "kind": {_escape(kind)},\n'
+            f'  "schema_version": {_escape(SCHEMA_VERSION)}\n}}\n').encode()
+
+
+_LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def _reject_lone_surrogates(raw) -> None:
+    """Raise, naming its path, for a string (key or value) with an unpaired
+    UTF-16 surrogate: it has no UTF-8 form, so it could not be written back."""
+    stack = [("document", raw)]
+    while stack:
+        where, value = stack.pop()
+        if isinstance(value, str) and _LONE_SURROGATE.search(value):
+            raise ParseError(f"{where} holds a lone surrogate")
+        if isinstance(value, dict):
+            stack += [(f"{where}: field name {key!r}", key) for key in value]
+            stack += [("body" if (where, key) == ("document", "body") else f"{where}.{key}", child)
+                      for key, child in value.items()]
+        elif isinstance(value, list):
+            stack += [(f"{where}[{i}]", child) for i, child in enumerate(value)]
 
 
 def _body(data: bytes, kind: str) -> dict:
@@ -179,7 +212,19 @@ _REQUIRED = object()  # the default of a field that must be present
 
 class _Codec(NamedTuple):
     read: Any  # (JSON object, where, key) -> field value; errors name {where}.{key}
-    write: Any = None  # field value -> JSON value; None keeps the value
+    text: Any = _escape  # field value -> its JSON text, indented as at the top level
+
+
+def _object_text(parts: list[str]) -> str:
+    """A JSON object from its ``"key": value`` parts, in key order. Escaped
+    strings hold no raw newline, so every newline starts an indented line."""
+    inner = ",\n".join(parts).replace("\n", "\n  ")
+    return f"{{\n  {inner}\n}}" if parts else "{}"
+
+
+def _array_text(items: list[str]) -> str:
+    inner = ",\n".join(items).replace("\n", "\n  ")
+    return f"[\n  {inner}\n]" if items else "[]"
 
 
 def _object(value, where: str) -> dict:
@@ -237,6 +282,10 @@ def _pairing(obj: dict, where: str, key: str) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(pairing.items()))
 
 
+def _pairing_text(pairing) -> str:
+    return _object_text([_escape(t) + ": " + _escape(s) for t, s in sorted(dict(pairing).items())])
+
+
 def _group(obj: dict, where: str, key: str) -> str:
     """An activity's group label; the ``mandatory`` row is read before it."""
     group = _string(obj, where, key)
@@ -255,7 +304,7 @@ def _enum(enum_cls) -> _Codec:
         except ValueError:
             raise ParseError(f"{where}.{key} must be one of: {allowed}") from None
 
-    return _Codec(read, attrgetter("value"))
+    return _Codec(read, {e: _escape(e.value) for e in enum_cls}.__getitem__)
 
 
 def _or_default(read, default):
@@ -272,12 +321,12 @@ def _records(table, *, required: bool = False) -> _Codec:
         items = _array(obj.get(key), path)
         return tuple([table.read(item, f"{path}[{i}]") for i, item in enumerate(items)])
 
-    return _Codec(read, lambda records: [table.write(r) for r in records])
+    return _Codec(read, lambda records: _array_text(list(map(table.text, records))))
 
 
 _STRING = _Codec(_string)
-_BOOLEAN = _Codec(_boolean)
-_STRINGS = _Codec(_strings)
+_BOOLEAN = _Codec(_boolean, {True: "true", False: "false"}.__getitem__)
+_STRINGS = _Codec(_strings, lambda values: _array_text(list(map(_escape, values))))
 _LAYER = _enum(Layer)
 
 
@@ -287,7 +336,8 @@ class _Table:
     """One record shape: rows ``(JSON key, attribute, codec=_STRING,
     default=_REQUIRED)`` in reading order. An attribute is a name, a tuple
     position (``make`` is ``tuple``; rows in position order), or a dotted
-    path into the written record whose last name is the keyword ``make`` gets."""
+    path into the written record whose last name is the keyword ``make`` gets.
+    The writer keeps the rows in key order, each with its ``"key": `` text."""
 
     def __init__(self, make, *rows):
         rows = [row + (_STRING, _REQUIRED)[len(row) - 2:] for row in rows]
@@ -298,8 +348,9 @@ class _Table:
              codec.read if default is _REQUIRED else _or_default(codec.read, default))
             for key, attr, codec, default in rows)
         self.writers = tuple(
-            (key, (itemgetter if isinstance(attr, int) else attrgetter)(attr), codec.write, default)
-            for key, attr, codec, default in rows)
+            (_escape(key) + ": ", (itemgetter if isinstance(attr, int) else attrgetter)(attr),
+             codec.text, default)
+            for key, attr, codec, default in sorted(rows, key=itemgetter(0)))
 
     def read(self, raw, where: str):
         obj = _object(raw, where)
@@ -309,13 +360,16 @@ class _Table:
             values[name] = read(obj, where, key)
         return self.make(**values)
 
-    def write(self, record) -> dict:
-        obj = {}
-        for key, get, write, default in self.writers:
+    def parts(self, record) -> list[str]:
+        out = []
+        for prefix, get, text, default in self.writers:
             value = get(record)
             if default is _REQUIRED or value != default:
-                obj[key] = value if write is None else write(value)
-        return obj
+                out.append(prefix + text(value))
+        return out
+
+    def text(self, record) -> str:
+        return _object_text(self.parts(record))
 
 
 def _variability(bindings, **fields) -> tuple[VariabilityModel, tuple[Binding, ...]]:
@@ -340,8 +394,8 @@ class _Bindings:
             f"{where}: a binding must have keys {{activity, variant}} or {{artifact, vp}}")
 
     @staticmethod
-    def write(binding: Binding) -> dict:
-        return _Bindings.tables[binding.kind].write(binding)
+    def text(binding: Binding) -> str:
+        return _Bindings.tables[binding.kind].text(binding)
 
 
 _ACTIVITY = _Table(
@@ -382,7 +436,7 @@ _VARIABILITY = _Table(  # read as (vm, bindings), written from a ProductLineMode
 
 _MERGE = _Table(
     MergeRecord,
-    ("pairing", "variant_pairing", _Codec(_pairing, dict)),
+    ("pairing", "variant_pairing", _Codec(_pairing, _pairing_text)),
     ("rebound_bindings", "rebound_bindings", _records(_Table(
         tuple, ("activity", 0), ("from_variant", 1), ("to_variant", 2)))),
     ("transferred_refinements", "transferred_refinements", _records(_Table(
@@ -393,8 +447,9 @@ _MERGE = _Table(
     ("target_vp", "target_vp_id"))
 _TRACE = _Table(
     ReductionTrace,
-    ("pass_count", "pass_count", _Codec(_count)),
+    ("pass_count", "pass_count", _Codec(_count, int.__repr__)),
     ("merges", "merges", _records(_MERGE, required=True)))
 _CONFIGURATION = _Table(
     Configuration,
-    ("selection", "selection", _Codec(lambda *args: frozenset(_strings(*args)), sorted)))
+    ("selection", "selection", _Codec(lambda *args: frozenset(_strings(*args)),
+                                      lambda selection: _STRINGS.text(sorted(selection)))))

@@ -14,9 +14,10 @@ carry lookups (``_index``), built once on first use and never changed after.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter, lt
 from types import MappingProxyType, SimpleNamespace
 
 
@@ -156,25 +157,17 @@ class VariabilityRefinement:
     parent_variant_id: str
 
 
-def _sort_key(item):
-    # None-safe ordering: optional fields sort as empty strings, so a
-    # malformed model (e.g. duplicate ids differing only in an optional
-    # field) still normalizes and is then reported by validate.
-    if hasattr(item, "__dataclass_fields__"):
-        return tuple(
-            "" if value is None else value
-            for value in (getattr(item, name) for name in item.__dataclass_fields__)
-        )
-    return item
+def _sorted_unique(items, key=None) -> tuple:
+    """``items`` deduplicated and sorted by ``key``; input that is already
+    strictly ascending comes back as it is, without a sort."""
+    items = tuple(items)
+    keys = items if key is None else tuple(map(key, items))
+    return items if all(map(lt, keys, keys[1:])) else tuple(sorted(set(items), key=key))
 
 
-def _sorted_unique(items) -> tuple:
-    return tuple(sorted(set(items), key=_sort_key))
-
-
-def _normalize(obj, *names: str) -> None:
-    for name in names:
-        object.__setattr__(obj, name, _sorted_unique(getattr(obj, name)))
+def _normalize(obj, **types) -> None:
+    for name, cls in types.items():
+        object.__setattr__(obj, name, _sorted_unique(getattr(obj, name), _KEYS[cls]))
 
 
 def _grouped(pairs) -> dict[str, tuple[str, ...]]:
@@ -194,7 +187,8 @@ class LayeredModel:
     interactions: tuple[Interaction, ...] = ()
 
     def __post_init__(self) -> None:
-        _normalize(self, "artifacts", "activities", "refinements", "interactions")
+        _normalize(self, artifacts=FunctionalArtifact, activities=Activity,
+                   refinements=Refinement, interactions=Interaction)
 
     @cached_property
     def _index(self) -> SimpleNamespace:
@@ -235,7 +229,8 @@ class VariabilityModel:
     refinements: tuple[VariabilityRefinement, ...] = ()
 
     def __post_init__(self) -> None:
-        _normalize(self, "variation_points", "variants", "variant_interactions", "refinements")
+        _normalize(self, variation_points=VariationPoint, variants=Variant,
+                   variant_interactions=Interaction, refinements=VariabilityRefinement)
 
     @cached_property
     def _index(self) -> SimpleNamespace:
@@ -284,7 +279,7 @@ class ProductLineModel:
     bindings: tuple[Binding, ...] = ()
 
     def __post_init__(self) -> None:
-        _normalize(self, "bindings")
+        _normalize(self, bindings=Binding)
 
     def activity_bindings(self) -> tuple[Binding, ...]:
         return tuple(b for b in self.bindings if b.kind is BindingKind.ACTIVITY_VARIANT)
@@ -312,7 +307,15 @@ class ProductSet:
     products: tuple[Product, ...] = ()
 
     def __post_init__(self) -> None:
-        _normalize(self, "products")
+        _normalize(self, products=Product)
+
+
+# Sort key per record type: its fields in declaration order. A missing group
+# sorts as "", so twins that differ only there normalize and validate reports them.
+_KEYS = {cls: attrgetter(*(f.name for f in fields(cls))) for cls in (
+    FunctionalArtifact, Refinement, Interaction, VariationPoint, Variant, Binding,
+    VariabilityRefinement, Product)} | {Activity: lambda a: (
+        a.id, a.name, a.layer, a.artifact_id, a.mandatory, "" if a.group is None else a.group)}
 
 
 def check_product_includes(
@@ -544,9 +547,16 @@ def _validate_bindings(plm: ProductLineModel) -> list[Violation]:
             else:
                 artifact_vp[b.source_id] = b.target_id
 
-    for b in plm.bindings:
-        if b.kind is not BindingKind.ACTIVITY_VARIANT:
-            continue
+    activity_bindings = plm.activity_bindings()
+    if len({b.source_id for b in activity_bindings}) < len(activity_bindings):
+        bound = _grouped((b.source_id, b.target_id) for b in activity_bindings)
+        out.extend(
+            Violation("binding-single-variant", (activity_id,),
+                      f"activity {activity_id!r} is bound to more than one variant: "
+                      f"{', '.join(map(repr, targets))}")
+            for activity_id, targets in bound.items() if len(targets) > 1)
+
+    for b in activity_bindings:
         act = activities.get(b.source_id)
         variant = variants.get(b.target_id)
         if act is None or variant is None:

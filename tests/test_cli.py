@@ -104,6 +104,33 @@ class TestReduce:
         assert b"Traceback" not in result.stderr
 
 
+    def test_lone_surrogate_exits_one_without_traceback(self, tmp_path, logistics_path):
+        doc = json.loads(logistics_path.read_bytes())
+        doc["body"]["variation_points"][1]["name"] = "x\ud800"
+        bad = tmp_path / "surrogate.json"
+        bad.write_text(json.dumps(doc))
+        result = subprocess.run(
+            [sys.executable, "-m", "ovmkit", "reduce", "-i", str(bad), "-o", "-"],
+            capture_output=True, env=CHILD_ENV)
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert result.stderr == b"error: body.variation_points[1].name holds a lone surrogate\n"
+
+    def test_activity_bound_to_two_variants_exits_one(self, capsys, tmp_path, engine_plm_path):
+        doc = json.loads(engine_plm_path.read_bytes())
+        bindings = doc["body"]["variability"]["bindings"]
+        first = bindings[0]
+        other = next(b["variant"] for b in bindings if b["variant"] != first["variant"])
+        bindings.append({"activity": first["activity"], "variant": other})
+        bad = tmp_path / "double.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "reduce", "-i", str(bad), "-o", "-")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert f"binding-single-variant [{first['activity']}]" in err
+
+
 class TestPipeline:
     def test_derive_then_reduce_reproduces_goldens(self, engine_layered_path):
         pipeline = (

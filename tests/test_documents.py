@@ -111,6 +111,32 @@ class TestErrors:
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_variability_model(b"[" * 100000 + b"]" * 100000)
 
+    def test_lone_surrogate_is_a_parse_error_naming_the_field(self, logistics_path):
+        doc = json.loads(logistics_path.read_bytes())
+        doc["body"]["variation_points"][1]["name"] = "x\ud800"
+        with pytest.raises(ParseError) as exc:
+            parse_variability_model(json.dumps(doc).encode())
+        assert str(exc.value) == "body.variation_points[1].name holds a lone surrogate"
+        doc["body"]["variation_points"][1]["name"] = "x\udc00y"
+        with pytest.raises(ParseError, match=r"variation_points\[1\]\.name"):
+            parse_variability_model(json.dumps(doc).encode())
+
+    def test_lone_surrogate_in_a_field_name_or_list_is_a_parse_error(self):
+        for body, where in (({"x\ud800": 1}, "body: field name 'x\\ud800'"),
+                            ({"selection": ["a", "\udfff"]}, "body.selection[1] ")):
+            with pytest.raises(ParseError) as exc:
+                parse_configuration(_envelope("configuration", body))
+            assert str(exc.value).startswith(where)
+
+    def test_surrogate_pair_is_an_astral_character(self, logistics_path):
+        doc = json.loads(logistics_path.read_bytes())
+        doc["body"]["variation_points"][1]["name"] = "x\U0001F600"
+        data = json.dumps(doc).encode()
+        assert b"\\ud83d\\ude00" in data
+        plm = parse_variability_model(data)
+        assert plm.vm.variation_points[1].name == "x\U0001F600"
+        assert "x\U0001F600".encode() in serialize(plm)
+
     def test_unknown_trace_subrecord_field_rejected(self):
         doc = _envelope("reduction-trace", {"pass_count": 1, "merges": [{
             "source_vp": "a", "target_vp": "b", "pairing": {"b1": "a1"},

@@ -214,6 +214,33 @@ class TestValidate:
         violations = validate(crossed)
         assert [v.invariant for v in violations] == ["binding-theta-consistency"]
 
+    def test_activity_bound_to_two_variants_rejected(self):
+        from ovmkit.model import (
+            Activity, Binding, BindingKind, FunctionalArtifact, LayeredModel)
+        layered = LayeredModel(
+            artifacts=(FunctionalArtifact("fns", Layer.FUNCTIONAL, ("a1", "a2")),),
+            activities=(Activity("a1", "A1", Layer.FUNCTIONAL, "fns", False),
+                        Activity("a2", "A2", Layer.FUNCTIONAL, "fns", False)),
+        )
+        vm = VariabilityModel(
+            variation_points=(vp("x"), vp("y")),
+            variants=(variant("x1", "x"), variant("x2", "x"), variant("y1", "y")),
+        )
+        single = ProductLineModel(vm=vm, artifacts=layered, bindings=(
+            Binding(BindingKind.ACTIVITY_VARIANT, "a1", "x1"),
+            Binding(BindingKind.ACTIVITY_VARIANT, "a2", "x1"),
+        ))
+        assert validate(single) == []
+        double = ProductLineModel(vm=vm, artifacts=layered, bindings=(
+            Binding(BindingKind.ACTIVITY_VARIANT, "a2", "y1"),
+            Binding(BindingKind.ACTIVITY_VARIANT, "a1", "x1"),
+            Binding(BindingKind.ACTIVITY_VARIANT, "a2", "x2"),
+        ))
+        assert [(v.invariant, v.subject_ids) for v in validate(double)] == [
+            ("binding-single-variant", ("a2",))]
+        with pytest.raises(ModelError, match=r"binding-single-variant \[a2\]: activity 'a2'"):
+            parse_variability_model(serialize(double))
+
     def test_same_vp_interaction_rejected(self):
         vm = VariabilityModel(
             variation_points=(vp("a"),),

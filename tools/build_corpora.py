@@ -309,12 +309,8 @@ def negative_documents() -> dict[str, bytes]:
     }
 
 
-def main() -> int:
-    out = corpus_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "negative").mkdir(exist_ok=True)
-    (out / "configs").mkdir(exist_ok=True)
-
+def corpus_files() -> dict[str, bytes]:
+    """Every corpus file's bytes, by path relative to the corpus directory."""
     files: dict[str, bytes] = {
         "engine-flat-layered.json": serialize(engine_flat_layered()),
         "engine-flat-plm.json": serialize(engine_flat_plm()),
@@ -329,8 +325,16 @@ def main() -> int:
     files.update({
         f"negative/{name}": data for name, data in negative_documents().items()
     })
+    return files
 
-    for name, data in sorted(files.items()):
+
+def main() -> int:
+    out = corpus_dir()
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "negative").mkdir(exist_ok=True)
+    (out / "configs").mkdir(exist_ok=True)
+
+    for name, data in sorted(corpus_files().items()):
         path = out / name
         path.write_bytes(data)
         print(f"wrote {path.relative_to(Path.cwd()) if path.is_relative_to(Path.cwd()) else path}")
