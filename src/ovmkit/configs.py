@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from math import prod
 
 from .model import (
-    BindingKind,
     ModelError,
     ProductLineModel,
     VariabilityModel,
@@ -151,9 +150,7 @@ def validate_config(plm: ProductLineModel, cfg: Configuration) -> list[Violation
                 f"interaction ({edge.from_id!r}, {edge.to_id!r}) requires both "
                 f"variants selected together"))
 
-    bound_variants = {
-        b.target_id for b in plm.bindings if b.kind is BindingKind.ACTIVITY_VARIANT
-    }
+    bound_variants = set(plm._variant_of.values())
     if bound_variants:
         for variant_id in sorted(cfg.selection):
             if variant_id not in bound_variants:
@@ -196,7 +193,7 @@ def enumerate_valid(
 
     index = vm._index
     excluded: set[str] = set()
-    bound = {b.target_id for b in plm.bindings if b.kind is BindingKind.ACTIVITY_VARIANT}
+    bound = plm._variant_of.values()
     if bound:
         excluded.update(index.vp_of.keys() - bound)
     # Per variant, what choosing it asks of another variation point once that

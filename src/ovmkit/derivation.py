@@ -150,11 +150,7 @@ def map_layers(
 
     model = plm.artifacts
     activities = model.activities_by_id()
-    bound = {
-        b.source_id: b.target_id
-        for b in plm.bindings
-        if b.kind is BindingKind.ACTIVITY_VARIANT
-    }
+    bound = plm._variant_of
     variant_vp = plm.vm._index.vp_of
 
     def upper_parents(activity_id: str) -> tuple[str, ...]:

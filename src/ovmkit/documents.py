@@ -297,12 +297,13 @@ def _group(obj: dict, where: str, key: str) -> str:
 
 def _enum(enum_cls) -> _Codec:
     allowed = ", ".join(e.value for e in enum_cls)
+    members = {e.value: e for e in enum_cls}
 
     def read(obj: dict, where: str, key: str):
-        try:
-            return enum_cls(_string(obj, where, key))
-        except ValueError:
-            raise ParseError(f"{where}.{key} must be one of: {allowed}") from None
+        member = members.get(_string(obj, where, key))
+        if member is None:
+            raise ParseError(f"{where}.{key} must be one of: {allowed}")
+        return member
 
     return _Codec(read, {e: _escape(e.value) for e in enum_cls}.__getitem__)
 

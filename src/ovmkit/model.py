@@ -9,11 +9,13 @@ refinement edges that arrange variation points into a forest of trees.
 All types are immutable values. Collections are normalized (deduplicated,
 sorted by identifier) on construction, so structural equality is plain
 ``==`` and serialization order never depends on input order. Models also
-carry lookups (``_index``), built once on first use and never changed after.
+carry lookups (``_index``, a product-line model's ``_variant_of`` and a
+variability model's ``_links``), each built on first use and never changed after.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
@@ -177,6 +179,15 @@ def _grouped(pairs) -> dict[str, tuple[str, ...]]:
     return {key: tuple(values) for key, values in groups.items()}
 
 
+def _link(links, interactions) -> None:
+    """Record the interactions in the out-edges, in-edges and partners of ``links``."""
+    for edge in interactions:
+        links.out[edge.from_id].add(edge)
+        links.inc[edge.to_id].add(edge)
+        links.partners[edge.from_id].add(edge.to_id)
+        links.partners[edge.to_id].add(edge.from_id)
+
+
 @dataclass(frozen=True)
 class LayeredModel:
     """Activities, their artifacts, cross-layer refinements, and interactions."""
@@ -247,6 +258,14 @@ class VariabilityModel:
             roots=tuple(vp for vp in self.variation_points if vp.id not in parent),
         )
 
+    @cached_property
+    def _links(self) -> SimpleNamespace:
+        """``_index`` plus each variant's out-edges, in-edges and partners."""
+        links = SimpleNamespace(**vars(self._index), out=defaultdict(set), inc=defaultdict(set),
+                                partners=defaultdict(set))
+        _link(links, self.variant_interactions)
+        return links
+
     def vp(self, vp_id: str) -> VariationPoint:
         vp = self._index.vps.get(vp_id)
         if vp is None:
@@ -281,14 +300,25 @@ class ProductLineModel:
     def __post_init__(self) -> None:
         _normalize(self, bindings=Binding)
 
+    @cached_property
+    def _variant_of(self) -> dict[str, str]:
+        """Variant by activity, keeping the first of several."""
+        return {b.source_id: b.target_id for b in reversed(self.activity_bindings())}
+
+    def _by_target(self) -> tuple[defaultdict, defaultdict]:
+        """Fresh sets of activity ids by variant and of artifact ids by
+        variation point, for ``_Index`` to change; not cached, as only it reads them."""
+        activities, artifacts = defaultdict(set), defaultdict(set)
+        for b in self.bindings:
+            by_target = activities if b.kind is BindingKind.ACTIVITY_VARIANT else artifacts
+            by_target[b.target_id].add(b.source_id)
+        return activities, artifacts
+
     def activity_bindings(self) -> tuple[Binding, ...]:
         return tuple(b for b in self.bindings if b.kind is BindingKind.ACTIVITY_VARIANT)
 
     def variant_of_activity(self, activity_id: str) -> str | None:
-        for b in self.bindings:
-            if b.kind is BindingKind.ACTIVITY_VARIANT and b.source_id == activity_id:
-                return b.target_id
-        return None
+        return self._variant_of.get(activity_id)
 
 
 @dataclass(frozen=True, order=True)

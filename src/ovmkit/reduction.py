@@ -11,15 +11,15 @@ every target variant with exactly one source variant (uniqueness). Merging
 removes the target, rebinds its activities, re-parents its subtrees, and
 transfers its remaining interactions. Passes repeat until no merge applies.
 
-Everything runs on a mutable working index of a valid model (``_Index``):
-copies of the model's variants by variation point and back, child variation
-points by variant and parent variant by variation point, plus in- and
-out-adjacency holding the ``Interaction`` objects, undirected partner sets,
-and bindings by target. One eligibility function decides a pair in a single
-walk over the target's variants, returning the pairing or the witness of a
-refusal. A merge updates the index in place; ``reduce`` and ``verify_trace``
-build one index and the frozen model once, at the end. The public checks,
-``interacting_pairs`` and ``merge`` are thin wrappers indexing their model.
+The pair functions (``_pairs``, ``_eligibility`` and the walks it makes)
+read "an index": variants by variation point and back, child variation
+points by variant, parent variant by variation point, in- and out-adjacency
+holding the ``Interaction`` objects, and undirected partner sets.
+``_eligibility`` decides a pair in one walk over the target's variants,
+returning the pairing or the witness of a refusal. The public checks read
+the model's frozen ``_links`` view. ``merge``, ``verify_trace`` and ``reduce``
+read one mutable working index (``_Index``) that each merge updates in
+place, and build the frozen model once, at the end.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .model import (
     VariabilityModel,
     VariabilityRefinement,
     VariationPoint,
+    _link,
     roots,
     tree_size,
     tree_variants,
@@ -88,30 +89,93 @@ _REFUSALS = {
 }
 
 
-class _Index:
-    """Mutable working view of a variability model and its bindings."""
+def _pairs(index, root_vp_id: str) -> list[tuple[str, str]]:
+    """Pairs in the order ``interacting_pairs`` documents."""
+    vp_of, variants = index.vp_of, index.variants
+    pairs, seen = [], set()
+    for variant_id in sorted(tree_variants(index, root_vp_id)):
+        here = vp_of[variant_id]
+        for partner_id in sorted(index.partners.get(variant_id, ())):
+            there = vp_of.get(partner_id)
+            if there is None or there == here:
+                continue
+            key = (here, there) if here < there else (there, here)
+            if key in seen:
+                continue
+            seen.add(key)
+            flip = len(variants[there]) > len(variants[here])
+            pairs.append((there, here) if flip else (here, there))
+    return pairs
 
-    def __init__(self, vm: VariabilityModel, bindings=()) -> None:
-        frozen = vm._index
+
+def _eligibility(index, source: str, target: str):
+    """``(reason, witness, pairing)``: reason is None and pairing maps each
+    target variant to its sole source partner when the merge may go
+    ahead; otherwise reason is a key of ``_REFUSALS``, and a target
+    variant with no partner outranks one with two."""
+    vp_of = index.vp_of
+    pairing, doubled = {}, None
+    for tv in index.variants.get(target, ()):
+        mine = [p for p in index.partners.get(tv, ()) if vp_of.get(p) == source]
+        if not mine:
+            return "completeness", (tv,), None
+        if len(mine) > 1 and doubled is None:
+            doubled = (tv, *sorted(mine)[:2])
+        pairing[tv] = mine[0]
+    if doubled:
+        return "partners", doubled, None
+    for tv, sv in pairing.items():
+        between = [e for e in index.out.get(tv, ()) if e.to_id == sv]
+        between += [e for e in index.inc.get(tv, ()) if e.from_id == sv]
+        for edge in sorted(between):
+            if _alternative_path(index, edge):
+                return "path", (edge.from_id, edge.to_id), None
+    above = _ancestor_variant(index, source, target)
+    return ("forest", (above,), None) if above else (None, (), pairing)
+
+
+def _alternative_path(index, excluded: Interaction) -> bool:
+    """Is the excluded edge's head reachable from its tail without it?"""
+    seen, stack = {excluded.from_id}, [excluded.from_id]
+    while stack:
+        for edge in index.out.get(stack.pop(), ()):
+            if edge is excluded:
+                continue
+            if edge.to_id == excluded.to_id:
+                return True
+            if edge.to_id not in seen:
+                seen.add(edge.to_id)
+                stack.append(edge.to_id)
+    return False
+
+
+def _ancestor_variant(index, source: str, target: str) -> str | None:
+    """The target variant above the source, when merging would fold it
+    into the source and so make the source its own ancestor."""
+    vp_id = source
+    for _ in range(len(index.parent)):  # bounded, should the input be cyclic
+        pv = index.parent.get(vp_id)
+        vp_id = index.vp_of.get(pv)
+        if vp_id == target:
+            paired = any(index.vp_of.get(p) == source for p in index.partners.get(pv, ()))
+            return pv if paired else None
+        if vp_id is None:
+            return None
+    return None
+
+
+class _Index:
+    """Mutable copies of a product-line model's lookups, bindings by target and adjacency."""
+
+    def __init__(self, plm: ProductLineModel) -> None:
+        frozen = plm.vm._index
         self.vps = frozen.vps  # the declared variation points, never changed
         self.vp_of, self.variants = dict(frozen.vp_of), dict(frozen.variants)
         self.parent = dict(frozen.parent)
         self.children = defaultdict(list, {v: list(c) for v, c in frozen.children.items()})
         self.out, self.inc, self.partners = defaultdict(set), defaultdict(set), defaultdict(set)
-        for edge in vm.variant_interactions:
-            self._link(edge)
-        self.activities, self.artifacts = defaultdict(set), defaultdict(set)
-        for b in bindings:
-            if b.kind is BindingKind.ACTIVITY_VARIANT:
-                self.activities[b.target_id].add(b.source_id)
-            else:
-                self.artifacts[b.target_id].add(b.source_id)
-
-    def _link(self, edge: Interaction) -> None:
-        self.out[edge.from_id].add(edge)
-        self.inc[edge.to_id].add(edge)
-        self.partners[edge.from_id].add(edge.to_id)
-        self.partners[edge.to_id].add(edge.from_id)
+        _link(self, plm.vm.variant_interactions)
+        self.activities, self.artifacts = plm._by_target()
 
     def root_of(self, vp_id: str) -> str:
         for _ in range(len(self.parent)):  # bounded, should the input be cyclic
@@ -120,77 +184,6 @@ class _Index:
             vp_id = self.vp_of[self.parent[vp_id]]
         return vp_id
 
-    def pairs(self, root_vp_id: str) -> list[tuple[str, str]]:
-        """Pairs in the order ``interacting_pairs`` documents."""
-        vp_of, variants = self.vp_of, self.variants
-        pairs, seen = [], set()
-        for variant_id in sorted(tree_variants(self, root_vp_id)):
-            here = vp_of[variant_id]
-            for partner_id in sorted(self.partners.get(variant_id, ())):
-                there = vp_of.get(partner_id)
-                if there is None or there == here:
-                    continue
-                key = (here, there) if here < there else (there, here)
-                if key in seen:
-                    continue
-                seen.add(key)
-                flip = len(variants[there]) > len(variants[here])
-                pairs.append((there, here) if flip else (here, there))
-        return pairs
-
-    def eligibility(self, source: str, target: str):
-        """``(reason, witness, pairing)``: reason is None and pairing maps each
-        target variant to its sole source partner when the merge may go
-        ahead; otherwise reason is a key of ``_REFUSALS``, and a target
-        variant with no partner outranks one with two."""
-        vp_of = self.vp_of
-        pairing, doubled = {}, None
-        for tv in self.variants.get(target, ()):
-            mine = [p for p in self.partners.get(tv, ()) if vp_of.get(p) == source]
-            if not mine:
-                return "completeness", (tv,), None
-            if len(mine) > 1 and doubled is None:
-                doubled = (tv, *sorted(mine)[:2])
-            pairing[tv] = mine[0]
-        if doubled:
-            return "partners", doubled, None
-        for tv, sv in pairing.items():
-            between = [e for e in self.out.get(tv, ()) if e.to_id == sv]
-            between += [e for e in self.inc.get(tv, ()) if e.from_id == sv]
-            for edge in sorted(between):
-                if self._alternative_path(edge):
-                    return "path", (edge.from_id, edge.to_id), None
-        above = self.ancestor_variant(source, target)
-        return ("forest", (above,), None) if above else (None, (), pairing)
-
-    def _alternative_path(self, excluded: Interaction) -> bool:
-        """Is the excluded edge's head reachable from its tail without it?"""
-        seen, stack = {excluded.from_id}, [excluded.from_id]
-        while stack:
-            for edge in self.out.get(stack.pop(), ()):
-                if edge is excluded:
-                    continue
-                if edge.to_id == excluded.to_id:
-                    return True
-                if edge.to_id not in seen:
-                    seen.add(edge.to_id)
-                    stack.append(edge.to_id)
-        return False
-
-    def ancestor_variant(self, source: str, target: str) -> str | None:
-        """The target variant above the source, when merging would fold it
-        into the source and so make the source its own ancestor."""
-        vp_id = source
-        for _ in range(len(self.parent)):  # bounded, should the input be cyclic
-            pv = self.parent.get(vp_id)
-            vp_id = self.vp_of.get(pv)
-            if vp_id == target:
-                paired = any(self.vp_of.get(p) == source for p in self.partners.get(pv, ()))
-                return pv if paired else None
-            if vp_id is None:
-                return None
-        return None
-
     def apply(self, source: str, target: str) -> MergeRecord:
         """Merge as ``merge`` does, refusing as it does."""
         for vp_id in (source, target):
@@ -198,7 +191,7 @@ class _Index:
                 raise ModelError(f"unknown variation point id: {vp_id}")
         if source == target:
             raise ReductionError("cannot merge a variation point into itself")
-        reason, witness, pairing = self.eligibility(source, target)
+        reason, witness, pairing = _eligibility(self, source, target)
         if reason is not None:
             raise ReductionError(
                 f"refusing to merge {target!r} into {source!r}: "
@@ -221,7 +214,7 @@ class _Index:
             new_to = pairing.get(edge.to_id, edge.to_id)
             if new_from != new_to:
                 moved_edges.add((edge.from_id, edge.to_id, new_from, new_to))
-                self._link(Interaction(new_from, new_to, edge.kind, edge.level, edge.requires))
+                _link(self, [Interaction(new_from, new_to, edge.kind, edge.level, edge.requires)])
         for tv in pairing:
             del vp_of[tv]
             for by_variant in (out, inc, self.partners):
@@ -286,7 +279,7 @@ def interacting_pairs(
     tree's side of the encounter is the source. Order is deterministic and
     duplicates are dropped.
     """
-    return _Index(vm).pairs(root_vp_id)
+    return _pairs(vm._links, root_vp_id)
 
 
 def check_completeness(
@@ -294,7 +287,7 @@ def check_completeness(
 ) -> bool:
     """True iff every target variant interacts, in either direction, with
     some source variant."""
-    return _Index(vm).eligibility(source_vp_id, target_vp_id)[0] != "completeness"
+    return _eligibility(vm._links, source_vp_id, target_vp_id)[0] != "completeness"
 
 
 def check_uniqueness(
@@ -304,7 +297,7 @@ def check_uniqueness(
     between its endpoints and each target variant has exactly one source
     partner. A parallel edge or a detour through other variants both
     defeat uniqueness."""
-    reason = _Index(vm).eligibility(source_vp_id, target_vp_id)[0]
+    reason = _eligibility(vm._links, source_vp_id, target_vp_id)[0]
     return reason not in ("completeness", "partners", "path")
 
 
@@ -318,7 +311,7 @@ def forest_preserved(
     transferring the ancestor's subtrees would then create a refinement
     cycle. Such pairs are not eligible for merging.
     """
-    return _Index(vm).ancestor_variant(source_vp_id, target_vp_id) is None
+    return _ancestor_variant(vm._links, source_vp_id, target_vp_id) is None
 
 
 def merge(
@@ -333,7 +326,7 @@ def merge(
     same way, and surviving interactions are transferred with direction
     preserved (self-loops and duplicates are dropped).
     """
-    index = _Index(plm.vm, plm.bindings)
+    index = _Index(plm)
     record = index.apply(source_vp_id, target_vp_id)
     return index.materialise(plm), record
 
@@ -347,7 +340,7 @@ def verify_trace(
     ``before``: each must give the same record, and the final model must
     equal ``after``. Raises ``ModelError`` naming the first merge that differs.
     """
-    index = _Index(before.vm, before.bindings)
+    index = _Index(before)
     for i, record in enumerate(trace.merges):
         step = (f"trace merge {i} ({record.target_vp_id!r} into "
                 f"{record.source_vp_id!r})")
@@ -379,7 +372,7 @@ def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
     are known refused, and a pass visits only the trees not yet refused
     throughout.
     """
-    index = _Index(plm.vm, plm.bindings)
+    index = _Index(plm)
     size = {vp.id: len(tree_variants(index, vp.id)) for vp in roots(plm.vm)}
     heap = [(-n, root) for root, n in size.items()]  # entries of outdated size are skipped
     heapify(heap)
@@ -396,12 +389,12 @@ def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
             if size.get(root) != -entry[0]:
                 continue
             if root not in tree_pairs:
-                tree_pairs[root] = index.pairs(root)
+                tree_pairs[root] = _pairs(index, root)
             pairs, i = tree_pairs[root], refused_upto.get(root, 0)
             while i < len(pairs):
                 stamps = stamp[pairs[i][0]], stamp[pairs[i][1]]
                 if refusals.get(pairs[i]) != stamps:
-                    reason, _, pairing = index.eligibility(*pairs[i])
+                    reason, _, pairing = _eligibility(index, *pairs[i])
                     if reason is None:
                         found = *pairs[i], pairing
                         heappush(heap, entry)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import GOLDEN_DIR
 from modelgen import random_plm
+from ovmkit.configs import Configuration, validate_config
 from ovmkit.documents import parse_variability_model, serialize
 from ovmkit.model import (
     Interaction,
@@ -26,7 +28,15 @@ from ovmkit.model import (
     tree_size,
     validate,
 )
-from ovmkit.reduction import merge, reduce, verify_trace
+from ovmkit.reduction import (
+    check_completeness,
+    check_uniqueness,
+    forest_preserved,
+    interacting_pairs,
+    merge,
+    reduce,
+    verify_trace,
+)
 
 
 def vp(vp_id, level=Layer.FUNCTIONAL):
@@ -102,13 +112,21 @@ class TestRoots:
 
 
 def lookups(plm: ProductLineModel) -> tuple:
+    """Answers of public calls that read a model's cached lookups."""
     vm = plm.vm
+    ids = [p.id for p in vm.variation_points]
     return (
         roots(vm),
         {r.id: tree_size(vm, r.id) for r in roots(vm)},
         {p.id: vm.variants_of(p.id) for p in vm.variation_points},
         {v.id: vm.child_vps_of(v.id) for v in vm.variants},
         {p.id: vm.parent_variant_of(p.id) for p in vm.variation_points},
+        {a.id: plm.variant_of_activity(a.id) for a in plm.artifacts.activities},
+        {v.id: validate_config(plm, Configuration(frozenset({v.id}))) for v in vm.variants},
+        {r.id: interacting_pairs(vm, r.id) for r in roots(vm)},
+        {(s, t): (check_completeness(vm, s, t), check_uniqueness(vm, s, t),
+                  forest_preserved(vm, s, t))
+         for s, t in itertools.permutations(ids, 2)},
         serialize(plm),
     )
 
@@ -240,6 +258,36 @@ class TestValidate:
             ("binding-single-variant", ("a2",))]
         with pytest.raises(ModelError, match=r"binding-single-variant \[a2\]: activity 'a2'"):
             parse_variability_model(serialize(double))
+
+    def test_an_activity_bound_twice_reads_as_its_first_variant_everywhere(self):
+        """``validate`` rejects such a model, but one built directly still
+        gets a single answer: the variant of the first binding in order."""
+        from ovmkit.derivation import map_layers
+        from ovmkit.model import (
+            Activity, Binding, BindingKind, FunctionalArtifact, LayeredModel)
+        layered = LayeredModel(
+            artifacts=(FunctionalArtifact("fns", Layer.FUNCTIONAL, ("a1", "b1")),),
+            activities=(Activity("a1", "A1", Layer.FUNCTIONAL, "fns", False),
+                        Activity("b1", "B1", Layer.FUNCTIONAL, "fns", False)),
+            interactions=(Interaction(
+                "a1", "b1", InteractionKind.MATERIAL, InteractionLevel.ARTIFACT),),
+        )
+        vm = VariabilityModel(
+            variation_points=(vp("x"), vp("y"), vp("z")),
+            variants=(variant("x1", "x"), variant("y1", "y"), variant("z1", "z")),
+        )
+        plm = ProductLineModel(vm=vm, artifacts=layered, bindings=(
+            Binding(BindingKind.ACTIVITY_VARIANT, "a1", "y1"),
+            Binding(BindingKind.ACTIVITY_VARIANT, "b1", "z1"),
+            Binding(BindingKind.ACTIVITY_VARIANT, "a1", "x1"),
+        ))
+        assert plm.variant_of_activity("a1") == "x1"
+        lifted = map_layers(plm, Layer.FUNCTIONAL, Layer.FUNCTIONAL)
+        assert lifted.vm.variant_interactions == (Interaction(
+            "x1", "z1", InteractionKind.MATERIAL, InteractionLevel.VARIANT),)
+        cfg = Configuration(frozenset({"x1", "y1", "z1"}))
+        assert [v.subject_ids for v in validate_config(plm, cfg)
+                if v.invariant == "variant-unbound"] == [("y1",)]
 
     def test_same_vp_interaction_rejected(self):
         vm = VariabilityModel(

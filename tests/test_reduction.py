@@ -3,11 +3,15 @@ the reduction fixpoint."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import pytest
 
-from ovmkit.documents import serialize
+import reference_reduction
+from conftest import GOLDEN_DIR
+from ovmkit import corpus_path, reduction
+from ovmkit.documents import parse_variability_model, serialize
 from ovmkit.model import (
     Interaction,
     ModelError,
@@ -26,6 +30,7 @@ from ovmkit.reduction import (
     ReductionError,
     check_completeness,
     check_uniqueness,
+    forest_preserved,
     interacting_pairs,
     main_root,
     merge,
@@ -174,6 +179,29 @@ class TestUniqueness:
         with pytest.raises(ReductionError, match="not unique") as refused:
             merge(ProductLineModel(vm=vm), "src", "tgt")
         assert "'t1' interacts with both 's1' and 's2'" in str(refused.value)
+
+
+@pytest.mark.parametrize(
+    "path", [corpus_path("engine-flat-plm.json"), GOLDEN_DIR / "hierarchical-derived.json"],
+    ids=lambda path: path.name)
+def test_public_checks_build_no_working_index(monkeypatch, path):
+    """The per-pair questions read the model's frozen lookups; only ``merge``,
+    ``verify_trace`` and ``reduce`` build a mutable working index."""
+    def refuse(*args):
+        raise AssertionError("built a working index")
+
+    plm = parse_variability_model(path.read_bytes())
+    monkeypatch.setattr(reduction, "_Index", refuse)
+    vm = plm.vm
+    ids = [p.id for p in vm.variation_points]
+    for root in ids:
+        assert interacting_pairs(vm, root) == reference_reduction.interacting_pairs(vm, root)
+    for source, target in itertools.permutations(ids, 2):
+        for check in (check_completeness, check_uniqueness, forest_preserved):
+            expected = getattr(reference_reduction, check.__name__)(vm, source, target)
+            assert check(vm, source, target) == expected, (check.__name__, source, target)
+    with pytest.raises(AssertionError, match="working index"):
+        reduce(plm)
 
 
 class TestMerge:

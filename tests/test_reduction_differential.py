@@ -58,9 +58,12 @@ def _merge_outcome(module, plm, source, target):
 
 
 def test_public_checks_and_merge_decide_every_pair_alike():
+    models = [(seed, random_plm(random.Random(seed), max_vps=12, max_variants=40))
+              for seed in range(100)]
+    models += [(f"lifted {seed}", derive_initial_vm(
+        *random_layered(random.Random(seed), label_all_difs=True))) for seed in range(20)]
     mismatches = []
-    for seed in range(100):
-        plm = random_plm(random.Random(seed), max_vps=12, max_variants=40)
+    for seed, plm in models:
         vm = plm.vm
         ids = [vp.id for vp in vm.variation_points]
         for root in ids:
