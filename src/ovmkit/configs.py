@@ -9,7 +9,8 @@ together or not at all.
 ``validate_config`` is the reference for these rules. ``enumerate_valid``
 finds the valid configurations by a depth-first search over the active
 variation points that cuts a branch as soon as it breaks one of them; it
-shares one children-first walk of the model's lookups with the count.
+shares one children-first walk of the model's lookups with the count. Both
+refuse a model whose refinements form a cycle, reached from a root or not.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .model import (
     ProductLineModel,
     VariabilityModel,
     Violation,
+    _CYCLE,
+    _cyclic_vps,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -78,24 +81,16 @@ def unconstrained_count(vm: VariabilityModel) -> int:
 
 def _children_first(vm: VariabilityModel) -> list[str]:
     """The variation points reachable from the roots, each after those below
-    it. Iterative; a refinement cycle raises ``ModelError``."""
+    it: their preorder, reversed. A refinement cycle raises ``ModelError``."""
     index = vm._index
-    order: dict[str, None] = {}  # an ordered set
-    open_vps: set[str] = set()  # on the current path; meeting one again is a cycle
-    stack = [(root.id, False) for root in reversed(index.roots)]
+    if cyclic := _cyclic_vps(index):
+        raise ModelError(_CYCLE.format(cyclic[0]))
+    order, stack = [], [root.id for root in index.roots]
     while stack:
-        vp_id, children_done = stack.pop()
-        if children_done:
-            open_vps.discard(vp_id)
-            order[vp_id] = None
-        elif vp_id in open_vps:
-            raise ModelError(f"variability refinements form a cycle through {vp_id!r}")
-        elif vp_id not in order:
-            open_vps.add(vp_id)
-            stack.append((vp_id, True))
-            stack.extend((c, False) for v in index.variants.get(vp_id, ())
-                         for c in index.children.get(v, ()))
-    return list(order)
+        vp_id = stack.pop()
+        order.append(vp_id)
+        stack.extend(c for v in index.variants.get(vp_id, ()) for c in index.children.get(v, ()))
+    return order[::-1]
 
 
 def active_vps(vm: VariabilityModel, selection: frozenset[str]) -> set[str]:
@@ -106,8 +101,6 @@ def active_vps(vm: VariabilityModel, selection: frozenset[str]) -> set[str]:
     stack = [vp.id for vp in index.roots]
     while stack:
         vp_id = stack.pop()
-        if vp_id in active:
-            continue
         active.add(vp_id)
         for variant_id in index.variants.get(vp_id, ()):
             if variant_id in selection:
@@ -181,8 +174,8 @@ def enumerate_valid(
       never becomes active imposes nothing.
 
     Every choice keeps one variant per active variation point and none
-    elsewhere, so each leaf is a valid configuration. Assumes a model whose
-    refinements form a forest, as ``validate`` requires.
+    elsewhere, so each leaf is a valid configuration. Raises ``ModelError``
+    when the refinements form a cycle, which ``validate`` also reports.
     """
     if budget is None:
         budget = default_budget()

@@ -4,7 +4,8 @@ A layered model holds activities grouped into artifacts on up to three
 layers (feature above functional above component), cross-layer refinements,
 and material/information interactions. A variability model holds variation
 points, the variants realizing them, variant-level interactions, and the
-refinement edges that arrange variation points into a forest of trees.
+refinement edges that arrange variation points into a forest of trees, each
+under its first parent variant; ``_cyclic_vps`` is the one check for cycles.
 
 All types are immutable values. Collections are normalized (deduplicated,
 sorted by identifier) on construction, so structural equality is plain
@@ -245,15 +246,18 @@ class VariabilityModel:
 
     @cached_property
     def _index(self) -> SimpleNamespace:
-        """``parent`` keeps the first of several parent variants."""
+        """Each variant sits under one variation point (the last of duplicate ids)
+        and each variation point under its first parent variant, children ascending."""
         parent = {r.child_vp_id: r.parent_variant_id for r in reversed(self.refinements)}
+        vp_of = {v.id: v.vp_id for v in self.variants}
         return SimpleNamespace(
             vps={vp.id: vp for vp in self.variation_points},
             variants_by_id={v.id: v for v in self.variants},
-            vp_of={v.id: v.vp_id for v in self.variants},
+            vp_of=vp_of,
             variants={vp.id: () for vp in self.variation_points}
-            | _grouped((v.vp_id, v.id) for v in self.variants),
-            children=_grouped((r.parent_variant_id, r.child_vp_id) for r in self.refinements),
+            | _grouped((vp_id, v) for v, vp_id in vp_of.items()),
+            # Filled from the last refinement back, ``parent`` lists children descending.
+            children=_grouped((p, c) for c, p in reversed(parent.items())),
             parent=parent,
             roots=tuple(vp for vp in self.variation_points if vp.id not in parent),
         )
@@ -346,6 +350,7 @@ _KEYS = {cls: attrgetter(*(f.name for f in fields(cls))) for cls in (
     FunctionalArtifact, Refinement, Interaction, VariationPoint, Variant, Binding,
     VariabilityRefinement, Product)} | {Activity: lambda a: (
         a.id, a.name, a.layer, a.artifact_id, a.mandatory, "" if a.group is None else a.group)}
+_CYCLE = "variability refinements form a cycle through {!r}"
 
 
 def check_product_includes(
@@ -389,6 +394,22 @@ def tree_variants(index, root_vp_id: str) -> list[str]:
                 found.append(v)
                 stack.extend(index.children.get(v, ()))
     return found
+
+
+def _cyclic_vps(index) -> list[str]:
+    """Ascending ids of the declared variation points whose chain of first parents
+    in an index enters a cycle rather than ending at a root or an unknown variant."""
+    parent, vp_of = index.parent, index.vp_of
+    cyclic: dict[str, bool | None] = {}  # None while on the current walk
+    for start in parent:
+        walk, cursor = [], start
+        while cursor in parent and cursor not in cyclic:
+            cyclic[cursor] = None
+            walk.append(cursor)
+            cursor = vp_of.get(parent[cursor])
+        # Ended at a root or unknown variant (False), a verdict, or this walk (None).
+        cyclic.update(dict.fromkeys(walk, cyclic.get(cursor, False) is not False))
+    return [vp_id for vp_id in index.vps if cyclic.get(vp_id)]
 
 
 def validate(plm: ProductLineModel) -> list[Violation]:
@@ -522,7 +543,7 @@ def _validate_vm(vm: VariabilityModel) -> list[Violation]:
                 f"variant interaction connects {a.id!r} and {b.id!r} of the same "
                 f"variation point {a.vp_id!r}"))
 
-    parents: dict[str, str] = {}
+    seen: set[str] = set()
     for ref in vm.refinements:
         if ref.child_vp_id not in vps or ref.parent_variant_id not in variants:
             missing = ref.child_vp_id if ref.child_vp_id not in vps else ref.parent_variant_id
@@ -530,32 +551,13 @@ def _validate_vm(vm: VariabilityModel) -> list[Violation]:
                 "psi-resolution", (ref.child_vp_id, ref.parent_variant_id),
                 f"variability refinement references unknown id {missing!r}"))
             continue
-        if ref.child_vp_id in parents:
+        if ref.child_vp_id in seen:
             out.append(Violation(
                 "psi-single-parent", (ref.child_vp_id,),
                 f"variation point {ref.child_vp_id!r} has more than one parent variant"))
-        parents[ref.child_vp_id] = ref.parent_variant_id
-
-    # Forest acyclicity over the induced parent-of relation between vps: a
-    # vp fails when its ancestor chain enters a cycle. Walks stop at the
-    # first vp already classified, so each vp is walked over once.
-    parent_vp = {
-        child: variants[parent].vp_id
-        for child, parent in parents.items()
-        if parent in variants
-    }
-    cyclic: dict[str, bool] = {}
-    for start in parent_vp:
-        path, cursor = set(), start
-        while cursor in parent_vp and cursor not in cyclic and cursor not in path:
-            path.add(cursor)
-            cursor = parent_vp[cursor]
-        # The walk ended at a root, at a classified vp, or back on its own path.
-        cyclic.update(dict.fromkeys(path, cyclic.get(cursor, cursor in path)))
-        if cyclic[start]:
-            out.append(Violation(
-                "psi-forest-acyclicity", (start,),
-                f"variability refinements form a cycle through {start!r}"))
+        seen.add(ref.child_vp_id)
+    out.extend(Violation("psi-forest-acyclicity", (vp_id,), _CYCLE.format(vp_id))
+               for vp_id in _cyclic_vps(vm._index))
     return out
 
 

@@ -37,6 +37,8 @@ from .model import (
     VariabilityModel,
     VariabilityRefinement,
     VariationPoint,
+    _CYCLE,
+    _cyclic_vps,
     _link,
     roots,
     tree_size,
@@ -169,6 +171,8 @@ class _Index:
 
     def __init__(self, plm: ProductLineModel) -> None:
         frozen = plm.vm._index
+        if cyclic := _cyclic_vps(frozen):
+            raise ModelError(_CYCLE.format(cyclic[0]))
         self.vps = frozen.vps  # the declared variation points, never changed
         self.vp_of, self.variants = dict(frozen.vp_of), dict(frozen.variants)
         self.parent = dict(frozen.parent)
@@ -178,10 +182,9 @@ class _Index:
         self.activities, self.artifacts = plm._by_target()
 
     def root_of(self, vp_id: str) -> str:
-        for _ in range(len(self.parent)):  # bounded, should the input be cyclic
-            if vp_id not in self.parent:
-                break
-            vp_id = self.vp_of[self.parent[vp_id]]
+        """The top of the chain of parents: a root, or the last below an unknown variant."""
+        while (above := self.vp_of.get(self.parent.get(vp_id))) is not None:
+            vp_id = above
         return vp_id
 
     def apply(self, source: str, target: str) -> MergeRecord:
@@ -320,11 +323,12 @@ def merge(
     """Merge the target variation point into the source.
 
     Refuses, naming the witness, unless completeness and uniqueness hold
-    and the refinements stay a forest. The target and its variants are
-    removed; each activity bound to a removed variant is rebound to that
-    variant's source partner, child variation points are re-parented the
-    same way, and surviving interactions are transferred with direction
-    preserved (self-loops and duplicates are dropped).
+    and the refinements stay a forest; a model with a refinement cycle is
+    refused too. The target and its variants are removed; each activity
+    bound to a removed variant is rebound to that variant's source partner,
+    child variation points are re-parented the same way, and surviving
+    interactions are transferred with direction preserved (self-loops and
+    duplicates are dropped).
     """
     index = _Index(plm)
     record = index.apply(source_vp_id, target_vp_id)
@@ -350,7 +354,7 @@ def verify_trace(
             raise ModelError(f"{step} does not replay: {exc}") from None
         if applied != record:
             raise ModelError(f"{step} replays to a different record")
-    if index.materialise(before) != after:
+    if (index.materialise(before) if trace.merges else before) != after:
         raise ModelError("replaying the trace on the model before does not give the model after")
 
 
@@ -361,7 +365,7 @@ def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
     tries their interacting pairs in order; the first eligible pair is
     merged and the pass restarts, since merging changes tree sizes and can
     enable or disable other merges. Terminates after at most one merge per
-    variation point.
+    variation point. Refuses a model with a refinement cycle, as ``merge`` does.
 
     A pass skips what the last merge cannot have changed. A merge changes
     the partners of the variants of a few variation points (``touched``),
@@ -419,7 +423,8 @@ def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
         for root in stale:
             size[root] = len(tree_variants(index, root))
             tree_pairs.pop(root, None)
-        for root in stale | {index.root_of(index.vp_of[p]) for vp_id in touched
-                             for v in index.variants[vp_id] for p in index.partners[v]}:
+        partnered = {index.root_of(index.vp_of[p]) for vp_id in touched
+                     for v in index.variants[vp_id] for p in index.partners[v]}
+        for root in (stale | partnered) & size.keys():
             refused_upto.pop(root, None)
             heappush(heap, (-size[root], root))

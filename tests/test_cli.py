@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import GOLDEN_DIR
 from modelgen import random_plm
 from ovmkit import corpus_path
@@ -129,6 +131,28 @@ class TestReduce:
         assert out == ""
         assert err.startswith("error: ")
         assert f"binding-single-variant [{first['activity']}]" in err
+
+
+NEGATIVE_ERRORS = {
+    "dangling-variant.json": "document violates model invariants: delta-consistency "
+    "[x1, missing-vp]: variant 'x1' realizes unknown variation point 'missing-vp'",
+    "layer-skip.json": "document violates model invariants: refinement-layer-adjacency "
+    "[components, f1]: artifact 'components' (component) may only refine an activity "
+    "one layer above, not 'f1' (feature)",
+    "mandatory-group.json": "body.activities[0]: mandatory activity 'a1' cannot carry a "
+    "group label",
+    "psi-cycle.json": "document violates model invariants: psi-forest-acyclicity [vp-a]: "
+    "variability refinements form a cycle through 'vp-a'; psi-forest-acyclicity [vp-b]: "
+    "variability refinements form a cycle through 'vp-b'",
+}
+
+
+@pytest.mark.parametrize("path", sorted(corpus_path("negative").glob("*.json")),
+                         ids=lambda path: path.name)
+def test_negative_corpus_exits_one_with_its_error(capsys, path):
+    command = "derive" if json.loads(path.read_bytes())["kind"] == "layered-model" else "reduce"
+    code, out, err = run(capsys, command, "-i", str(path), "-o", "-")
+    assert (code, out, err) == (1, "", f"error: {NEGATIVE_ERRORS[path.name]}\n")
 
 
 class TestPipeline:

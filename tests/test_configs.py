@@ -31,7 +31,7 @@ from ovmkit.model import (
     Variant,
     validate,
 )
-from ovmkit.reduction import reduce
+from ovmkit.reduction import ReductionTrace, merge, reduce, verify_trace
 
 
 def cfg(*ids):
@@ -107,9 +107,29 @@ class TestRefinementCycle:
                 call()
 
     def test_validate_reports_the_second_parent(self):
+        # A sits only under its first parent b1, so A and B form a cycle
+        # and R's variant opens nothing.
         plm = self.two_parent_cycle()
-        assert [str(v).split(":")[0] for v in validate(plm)] == ["psi-single-parent [A]"]
+        assert [str(v).split(":")[0] for v in validate(plm)] == [
+            "psi-single-parent [A]", "psi-forest-acyclicity [A]", "psi-forest-acyclicity [B]"]
         assert plm.vm.parent_variant_of("A") == "b1"
+        assert plm.vm.child_vps_of("r1") == ()
+        assert plm.vm.child_vps_of("b1") == ("A",)
+
+    def test_configs_merge_and_reduce_refuse_a_cycle_no_root_reaches(self):
+        # a <> b, with no root at all.
+        plm = ProductLineModel(vm=VariabilityModel(
+            variation_points=(VariationPoint("a", "a", Layer.FEATURE),
+                              VariationPoint("b", "b", Layer.FEATURE)),
+            variants=(Variant("a1", "A1", "a"), Variant("b1", "B1", "b")),
+            refinements=(VariabilityRefinement("a", "b1"), VariabilityRefinement("b", "a1")),
+        ))
+        calls = (lambda: unconstrained_count(plm.vm), lambda: enumerate_valid(plm),
+                 lambda: merge(plm, "a", "b"), lambda: reduce(plm),
+                 lambda: verify_trace(plm, ReductionTrace(), plm))
+        for call in calls:
+            with pytest.raises(ModelError, match="^variability refinements form a cycle through 'a'$"):
+                call()
 
 
 class TestValidateConfig:

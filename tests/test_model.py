@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import GOLDEN_DIR
 from modelgen import random_plm
-from ovmkit.configs import Configuration, validate_config
+from ovmkit.configs import Configuration, unconstrained_count, validate_config
 from ovmkit.documents import parse_variability_model, serialize
 from ovmkit.model import (
     Interaction,
@@ -288,6 +288,20 @@ class TestValidate:
         cfg = Configuration(frozenset({"x1", "y1", "z1"}))
         assert [v.subject_ids for v in validate_config(plm, cfg)
                 if v.invariant == "variant-unbound"] == [("y1",)]
+
+    def test_a_variant_id_on_two_vps_sits_under_one_everywhere(self):
+        """``validate`` rejects such a model, but one built directly still
+        walks one hierarchy: variant 'a' sits under B, the last of the two,
+        so A, which refines 'a', sits under B and has no variant."""
+        vm = VariabilityModel(
+            variation_points=(vp("A"), vp("B")),
+            variants=(variant("a", "A"), variant("a", "B")),
+            refinements=(VariabilityRefinement("A", "a"),),
+        )
+        assert [v.invariant for v in validate(ProductLineModel(vm=vm))] == ["unique-ids"]
+        assert (vm.variants_of("A"), vm.variants_of("B")) == ((), (variant("a", "B"),))
+        assert [root.id for root in roots(vm)] == ["B"]
+        assert (tree_size(vm, "B"), unconstrained_count(vm)) == (1, 0)
 
     def test_same_vp_interaction_rejected(self):
         vm = VariabilityModel(

@@ -328,6 +328,28 @@ class TestReduce:
         reduced, _ = reduce(engine_plm)
         assert len(reduced.activity_bindings()) == len(engine_plm.activity_bindings())
 
+    @pytest.mark.parametrize("interactions,source,target", [
+        ((("r1", "x1"), ("r2", "x2")), "R", "X"),
+        # S merges into R; x1 then interacts with r1, so X's tree is touched.
+        ((("r1", "s1"), ("r2", "s2"), ("x1", "s1")), "R", "S"),
+    ])
+    def test_refinement_to_an_unknown_variant_reduces_as_merge_does(
+            self, interactions, source, target):
+        # X refines 'ghost', which no variant is: validate rejects the model,
+        # and X's tree hangs below the unknown variant, out of every root's.
+        plm = ProductLineModel(vm=VariabilityModel(
+            variation_points=(vp("R"), vp("S"), vp("X")),
+            variants=tuple(variant(f"{n}{i}", n.upper()) for n in "rsx" for i in (1, 2)),
+            variant_interactions=tuple(edge(a, b) for a, b in interactions),
+            refinements=(VariabilityRefinement("X", "ghost"),),
+        ))
+        assert [v.invariant for v in validate(plm)] == ["psi-resolution"]
+        merged, record = merge(plm, source, target)
+        reduced, trace = reduce(plm)
+        assert trace.merges == (record,)
+        assert reduced == merged
+        verify_trace(plm, trace, reduced)
+
     def test_idempotent(self, engine_plm, logistics_plm):
         for plm in (engine_plm, logistics_plm):
             reduced, _ = reduce(plm)
@@ -337,6 +359,17 @@ class TestReduce:
 
 
 class TestVerifyTrace:
+    def test_accepts_the_empty_trace_of_a_model_with_two_parents(self):
+        # validate rejects the model; reduce finds no merge and returns it as it is.
+        plm = ProductLineModel(vm=VariabilityModel(
+            variation_points=(vp("a"), vp("b"), vp("c")),
+            variants=(variant("a1", "a"), variant("b1", "b")),
+            refinements=(VariabilityRefinement("c", "a1"), VariabilityRefinement("c", "b1")),
+        ))
+        reduced, trace = reduce(plm)
+        assert (reduced, trace.merges) == (plm, ())
+        verify_trace(plm, trace, reduced)
+
     def test_accepts_the_trace_of_the_reduction(self, engine_plm, logistics_plm):
         for plm in (engine_plm, logistics_plm):
             reduced, trace = reduce(plm)
