@@ -26,7 +26,6 @@ from .model import (
     VariabilityModel,
     Violation,
     _CYCLE,
-    _cyclic_vps,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -83,7 +82,7 @@ def _children_first(vm: VariabilityModel) -> list[str]:
     """The variation points reachable from the roots, each after those below
     it: their preorder, reversed. A refinement cycle raises ``ModelError``."""
     index = vm._index
-    if cyclic := _cyclic_vps(index):
+    if cyclic := vm._cyclic_vps:
         raise ModelError(_CYCLE.format(cyclic[0]))
     order, stack = [], [root.id for root in index.roots]
     while stack:

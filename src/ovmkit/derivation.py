@@ -211,7 +211,8 @@ def map_layers(
                 if parent in bound:
                     add_parent_edge(variant_vp[bound[activity.id]], bound[parent])
 
-    new_model = LayeredModel(
+    # A pass that adds no artifact interaction (feature to feature adds none) keeps the model.
+    new_model = model if len(artifact_edges) == len(model.interactions) else LayeredModel(
         artifacts=model.artifacts,
         activities=model.activities,
         refinements=model.refinements,

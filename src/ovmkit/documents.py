@@ -11,23 +11,30 @@ row gives the JSON key, the attribute, the codec, and for an optional field
 the default read when the key is absent and left out when writing. Rows go
 in reading order, which fixes the first error a faulty document reports.
 
-The writer makes text, not dicts: each table keeps its rows sorted by key,
-each with its ``"key": `` prefix, and each codec writes its value's JSON
-text (strings through the C escaper of ``json.encoder``). The bytes are
-those of ``json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True)``
-plus a newline. A string with a lone surrogate has no UTF-8 form, so the
-reader rejects it, naming the field; the check runs only on a text that
-holds a ``\\u`` escape.
+An array of records is read a column at a time: one ``map`` per field, a
+check of the whole column by exact type (``True`` is not ``1``), then
+``map(make, *columns)``. At any doubt the array is read again record by
+record, which raises the error of the document's first fault.
+
+The writer makes text, not dicts: each table keeps its rows sorted by key in
+one ``str.format`` template, filled a column at a time, and each codec
+writes its value's JSON text (strings through the C escaper of
+``json.encoder``). The bytes are those of ``json.dumps(doc,
+ensure_ascii=False, indent=2, sort_keys=True)`` plus a newline. A string
+with a lone surrogate has no UTF-8 form, so the reader rejects it, naming
+the field; the check runs only on a text that holds a ``\\u`` escape.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
+from itertools import chain, compress, groupby, repeat
 from json.encoder import encode_basestring as _escape
-from operator import attrgetter, itemgetter
+from operator import attrgetter, is_not, itemgetter
+from types import SimpleNamespace
 from typing import Any, NamedTuple
 
 from .configs import Configuration
@@ -107,12 +114,7 @@ def load_document(data: bytes) -> ModelDocument:
 
 def parse_layered_model(data: bytes) -> tuple[LayeredModel, ProductSet | None]:
     """Parse a layered-model document; validates structure and references."""
-    body = _body(data, KIND_LAYERED)
-    # ``products`` is the one key beyond the model's, read after the model.
-    model = _LAYERED.read({k: v for k, v in body.items() if k != "products"}, "body")
-    products = None
-    if "products" in body:
-        products = ProductSet(_PRODUCTS.read(body, "body", "products"))
+    model, products = _LAYERED_DOCUMENT.read(_body(data, KIND_LAYERED), "body")
     _check_valid(ProductLineModel(artifacts=model))
     if products is not None:
         check_product_includes(model, products, ParseError)
@@ -147,11 +149,8 @@ def parse_trace(data: bytes) -> ReductionTrace:
 def serialize(model, *, products: ProductSet | None = None) -> bytes:
     """Canonical document bytes for a model, configuration, or trace."""
     if isinstance(model, LayeredModel):
-        parts = _LAYERED.parts(model)
-        if products is not None:
-            # Keys are lowercase names, so the parts sort as their keys do.
-            parts = sorted(parts + ['"products": ' + _PRODUCTS.text(products.products)])
-        kind, body = KIND_LAYERED, _object_text(parts)
+        kind, body = KIND_LAYERED, _LAYERED_DOCUMENT.text(
+            SimpleNamespace(model=model, products=products and products.products))
     elif isinstance(model, ProductLineModel):
         if model.artifacts.is_empty and not model.bindings:
             kind, body = KIND_VARIABILITY, _VARIABILITY.text(model)
@@ -208,11 +207,15 @@ def _check_valid(plm: ProductLineModel) -> None:
 # -- codecs ------------------------------------------------------------------
 
 _REQUIRED = object()  # the default of a field that must be present
+_ABSENT = object()  # a field's value in a column when its key is missing
+_ITEM = ",\n  "  # between the fields of a record
 
 
 class _Codec(NamedTuple):
     read: Any  # (JSON object, where, key) -> field value; errors name {where}.{key}
     text: Any = _escape  # field value -> its JSON text, indented as at the top level
+    column: Any = None  # JSON values -> field values, or None when any may be faulty
+    lines: bool = False  # whether the text may span lines
 
 
 def _object_text(parts: list[str]) -> str:
@@ -237,6 +240,10 @@ def _array(value, where: str) -> list:
     if not isinstance(value, list):
         raise ParseError(f"{where} must be a JSON array")
     return value
+
+
+def _only(types: set, values) -> bool:
+    return set(map(type, values)) <= types
 
 
 def _reject_unknown(obj: dict, where: str, known) -> None:
@@ -305,7 +312,9 @@ def _enum(enum_cls) -> _Codec:
             raise ParseError(f"{where}.{key} must be one of: {allowed}")
         return member
 
-    return _Codec(read, {e: _escape(e.value) for e in enum_cls}.__getitem__)
+    return _Codec(read, {e: _escape(e.value) for e in enum_cls}.__getitem__, lambda values: (
+        list(map(members.__getitem__, values))
+        if _only({str}, values) and members.keys() >= set(values) else None))
 
 
 def _or_default(read, default):
@@ -320,14 +329,20 @@ def _records(table, *, required: bool = False) -> _Codec:
             return ()
         path = f"{where}.{key}"
         items = _array(obj.get(key), path)
-        return tuple([table.read(item, f"{path}[{i}]") for i, item in enumerate(items)])
+        # No column read (or an empty array): read one by one, which raises the first error.
+        return table.column(items) or tuple(
+            [table.read(item, f"{path}[{i}]") for i, item in enumerate(items)])
 
-    return _Codec(read, lambda records: _array_text(list(map(table.text, records))))
+    return _Codec(read, lambda records: _array_text(table.items(records)), lines=True)
 
 
-_STRING = _Codec(_string)
-_BOOLEAN = _Codec(_boolean, {True: "true", False: "false"}.__getitem__)
-_STRINGS = _Codec(_strings, lambda values: _array_text(list(map(_escape, values))))
+_STRING = _Codec(_string, column=lambda values: (
+    values if _only({str}, values) and "" not in values else None))
+_BOOLEAN = _Codec(_boolean, {True: "true", False: "false"}.__getitem__,
+                  lambda values: values if _only({bool}, values) else None)
+_STRINGS = _Codec(_strings, lambda values: _array_text(list(map(_escape, values))),
+                  lambda values: list(map(tuple, values)) if _only({list}, values)
+                  and _only({str}, chain.from_iterable(values)) else None, lines=True)
 _LAYER = _enum(Layer)
 
 
@@ -338,9 +353,10 @@ class _Table:
     default=_REQUIRED)`` in reading order. An attribute is a name, a tuple
     position (``make`` is ``tuple``; rows in position order), or a dotted
     path into the written record whose last name is the keyword ``make`` gets.
-    The writer keeps the rows in key order, each with its ``"key": `` text."""
+    ``check`` is a rule across fields, run on the records a column read makes.
+    The writer keeps the rows in key order, in one template."""
 
-    def __init__(self, make, *rows):
+    def __init__(self, make, *rows, check=None):
         rows = [row + (_STRING, _REQUIRED)[len(row) - 2:] for row in rows]
         self.make = (lambda **fields: tuple(fields.values())) if make is tuple else make
         self.keys = frozenset(row[0] for row in rows)
@@ -348,10 +364,16 @@ class _Table:
             (key, key if isinstance(attr, int) else attr.rpartition(".")[2],
              codec.read if default is _REQUIRED else _or_default(codec.read, default))
             for key, attr, codec, default in rows)
-        self.writers = tuple(
-            (_escape(key) + ": ", (itemgetter if isinstance(attr, int) else attrgetter)(attr),
-             codec.text, default)
-            for key, attr, codec, default in sorted(rows, key=itemgetter(0)))
+        self.check, self.sources = check, ()
+        if all(codec.column for _, _, codec, _ in rows):  # per field of ``make``, in order
+            source = {attr: partial(_field, key, codec.column, default)
+                      for key, attr, codec, default in rows}
+            cls, constants = (make.func, make.keywords) if type(make) is partial else (make, {})
+            names = range(len(rows)) if make is tuple else [f.name for f in fields(cls)]
+            self.build = zip if make is tuple else partial(map, cls)
+            self.sources = [source.get(name) or (lambda _, value=constants[name]: repeat(value))
+                            for name in names]
+        self.template, self.slots = _writer(sorted(rows, key=itemgetter(0)))
 
     def read(self, raw, where: str):
         obj = _object(raw, where)
@@ -361,16 +383,58 @@ class _Table:
             values[name] = read(obj, where, key)
         return self.make(**values)
 
-    def parts(self, record) -> list[str]:
-        out = []
-        for prefix, get, text, default in self.writers:
-            value = get(record)
-            if default is _REQUIRED or value != default:
-                out.append(prefix + text(value))
-        return out
+    def column(self, items: list) -> tuple | None:
+        """The records of a JSON array, a field at a time, or None when any
+        item may be faulty."""
+        if not (self.sources and _only({dict}, items) and all(map(self.keys.issuperset, items))):
+            return None
+        columns = [source(items) for source in self.sources]
+        if None in columns:
+            return None
+        records = tuple(self.build(*columns))
+        return records if self.check is None or self.check(records) else None
 
     def text(self, record) -> str:
-        return _object_text(self.parts(record))
+        return self.template(*[text(get(record)) for get, text in self.slots])
+
+    def items(self, records) -> list[str]:
+        """Each record's text, a field at a time."""
+        columns = [map(text, map(get, records)) for get, text in self.slots]
+        return list(map(self.template, *columns))
+
+
+def _field(key: str, column, default, items: list):
+    """One field's values over ``items``, or None when any may be faulty. An
+    optional field's codec keeps values as they are: a missing one is the default."""
+    values = list(map(dict.get, items, repeat(key), repeat(_ABSENT)))
+    if default is _REQUIRED:
+        return column(values)
+    if column(list(filter(partial(is_not, _ABSENT), values))) is None:
+        return None
+    return list(map({_ABSENT: default}.get, values, values))
+
+
+def _writer(rows):
+    """A ``str.format`` template for a record, and per slot (in key order) a getter and
+    a text function. An optional row's slot holds ``"key": value`` and a separator, or ""."""
+    parts, slots, pending = [], [], ""
+    for i, (key, attr, codec, default) in enumerate(rows):
+        text = (lambda value, text=codec.text: text(value).replace("\n", "\n  ")) \
+            if codec.lines else codec.text
+        if default is _REQUIRED:
+            parts.append(pending + _escape(key) + ": {}")
+            pending = ""
+        else:
+            last = all(row[3] is not _REQUIRED for row in rows[i:])
+            text = _slot(_ITEM if last else "", _escape(key) + ": ", text,
+                         "" if last else _ITEM, default)
+            pending += "{}"
+        slots.append(((itemgetter if isinstance(attr, int) else attrgetter)(attr), text))
+    return f"{{{{\n  {_ITEM.join(parts)}{pending}\n}}}}".format, slots
+
+
+def _slot(before: str, prefix: str, text, after: str, default):
+    return lambda value: "" if value == default else before + prefix + text(value) + after
 
 
 def _variability(bindings, **fields) -> tuple[VariabilityModel, tuple[Binding, ...]]:
@@ -395,14 +459,24 @@ class _Bindings:
             f"{where}: a binding must have keys {{activity, variant}} or {{artifact, vp}}")
 
     @staticmethod
-    def text(binding: Binding) -> str:
-        return _Bindings.tables[binding.kind].text(binding)
+    def column(items: list) -> tuple | None:
+        """A column read by the table whose key set every item has."""
+        keys = set(map(frozenset, items)) if _only({dict}, items) else set()
+        return next((t.column(items) for t in _Bindings.tables.values() if {t.keys} == keys), None)
+
+    @staticmethod
+    def items(bindings) -> list[str]:
+        return [text for kind, run in groupby(bindings, attrgetter("kind"))
+                for text in _Bindings.tables[kind].items(tuple(run))]
 
 
 _ACTIVITY = _Table(
     Activity,
-    ("mandatory", "mandatory", _BOOLEAN), ("group", "group", _Codec(_group), None),
-    ("id", "id"), ("name", "name"), ("layer", "layer", _LAYER), ("artifact", "artifact_id"))
+    ("mandatory", "mandatory", _BOOLEAN),
+    ("group", "group", _STRING._replace(read=_group), None),
+    ("id", "id"), ("name", "name"), ("layer", "layer", _LAYER), ("artifact", "artifact_id"),
+    check=lambda activities: not any(compress(  # ``_group``'s rule
+        map(attrgetter("group"), activities), map(attrgetter("mandatory"), activities))))
 _ARTIFACT = _Table(
     FunctionalArtifact,
     ("id", "id"), ("layer", "layer", _LAYER), ("activities", "activity_ids", _STRINGS))
@@ -413,14 +487,19 @@ _REFINEMENT = _Table(
 _INTERACTION_ROWS = (
     ("from", "from_id"), ("to", "to_id"), ("kind", "kind", _enum(InteractionKind)),
     ("requires", "requires", _BOOLEAN, False))
-_LAYERED = _Table(
-    LayeredModel,
+_LAYERED_ROWS = (
     ("activities", "activities", _records(_ACTIVITY)),
     ("artifacts", "artifacts", _records(_ARTIFACT)),
     ("refinements", "refinements", _records(_REFINEMENT)),
     ("interactions", "interactions", _records(
         _Table(partial(Interaction, level=InteractionLevel.ARTIFACT), *_INTERACTION_ROWS))))
-_PRODUCTS = _records(_Table(Product, ("id", "id"), ("includes", "includes", _STRINGS)))
+_LAYERED = _Table(LayeredModel, *_LAYERED_ROWS)
+_LAYERED_DOCUMENT = _Table(  # read as (model, products), written from a namespace of both
+    lambda products, **fields: (
+        LayeredModel(**fields), None if products is None else ProductSet(products)),
+    *[(key, "model." + attr, codec) for key, attr, codec in _LAYERED_ROWS],
+    ("products", "products", _records(_Table(
+        Product, ("id", "id"), ("includes", "includes", _STRINGS))), None))
 
 _VARIABILITY = _Table(  # read as (vm, bindings), written from a ProductLineModel
     _variability,
@@ -437,7 +516,7 @@ _VARIABILITY = _Table(  # read as (vm, bindings), written from a ProductLineMode
 
 _MERGE = _Table(
     MergeRecord,
-    ("pairing", "variant_pairing", _Codec(_pairing, _pairing_text)),
+    ("pairing", "variant_pairing", _Codec(_pairing, _pairing_text, lines=True)),
     ("rebound_bindings", "rebound_bindings", _records(_Table(
         tuple, ("activity", 0), ("from_variant", 1), ("to_variant", 2)))),
     ("transferred_refinements", "transferred_refinements", _records(_Table(
@@ -453,4 +532,5 @@ _TRACE = _Table(
 _CONFIGURATION = _Table(
     Configuration,
     ("selection", "selection", _Codec(lambda *args: frozenset(_strings(*args)),
-                                      lambda selection: _STRINGS.text(sorted(selection)))))
+                                      lambda selection: _STRINGS.text(sorted(selection)),
+                                      lines=True)))

@@ -11,7 +11,8 @@ All types are immutable values. Collections are normalized (deduplicated,
 sorted by identifier) on construction, so structural equality is plain
 ``==`` and serialization order never depends on input order. Models also
 carry lookups (``_index``, a product-line model's ``_variant_of`` and a
-variability model's ``_links``), each built on first use and never changed after.
+variability model's ``_links`` and ``_cyclic_vps``), each built on first use
+and never changed after.
 """
 
 from __future__ import annotations
@@ -263,6 +264,22 @@ class VariabilityModel:
         )
 
     @cached_property
+    def _cyclic_vps(self) -> tuple[str, ...]:
+        """Ascending ids of the declared variation points whose chain of first parents
+        enters a cycle rather than ending at a root or an unknown variant."""
+        parent, vp_of = self._index.parent, self._index.vp_of
+        cyclic: dict[str, bool | None] = {}  # None while on the current walk
+        for start in parent:
+            walk, cursor = [], start
+            while cursor in parent and cursor not in cyclic:
+                cyclic[cursor] = None
+                walk.append(cursor)
+                cursor = vp_of.get(parent[cursor])
+            # Ended at a root or unknown variant (False), a verdict, or this walk (None).
+            cyclic.update(dict.fromkeys(walk, cyclic.get(cursor, False) is not False))
+        return tuple(vp_id for vp_id in self._index.vps if cyclic.get(vp_id))
+
+    @cached_property
     def _links(self) -> SimpleNamespace:
         """``_index`` plus each variant's out-edges, in-edges and partners."""
         links = SimpleNamespace(**vars(self._index), out=defaultdict(set), inc=defaultdict(set),
@@ -394,22 +411,6 @@ def tree_variants(index, root_vp_id: str) -> list[str]:
                 found.append(v)
                 stack.extend(index.children.get(v, ()))
     return found
-
-
-def _cyclic_vps(index) -> list[str]:
-    """Ascending ids of the declared variation points whose chain of first parents
-    in an index enters a cycle rather than ending at a root or an unknown variant."""
-    parent, vp_of = index.parent, index.vp_of
-    cyclic: dict[str, bool | None] = {}  # None while on the current walk
-    for start in parent:
-        walk, cursor = [], start
-        while cursor in parent and cursor not in cyclic:
-            cyclic[cursor] = None
-            walk.append(cursor)
-            cursor = vp_of.get(parent[cursor])
-        # Ended at a root or unknown variant (False), a verdict, or this walk (None).
-        cyclic.update(dict.fromkeys(walk, cyclic.get(cursor, False) is not False))
-    return [vp_id for vp_id in index.vps if cyclic.get(vp_id)]
 
 
 def validate(plm: ProductLineModel) -> list[Violation]:
@@ -557,7 +558,7 @@ def _validate_vm(vm: VariabilityModel) -> list[Violation]:
                 f"variation point {ref.child_vp_id!r} has more than one parent variant"))
         seen.add(ref.child_vp_id)
     out.extend(Violation("psi-forest-acyclicity", (vp_id,), _CYCLE.format(vp_id))
-               for vp_id in _cyclic_vps(vm._index))
+               for vp_id in vm._cyclic_vps)
     return out
 
 

@@ -38,7 +38,6 @@ from .model import (
     VariabilityRefinement,
     VariationPoint,
     _CYCLE,
-    _cyclic_vps,
     _link,
     roots,
     tree_size,
@@ -171,7 +170,7 @@ class _Index:
 
     def __init__(self, plm: ProductLineModel) -> None:
         frozen = plm.vm._index
-        if cyclic := _cyclic_vps(frozen):
+        if cyclic := plm.vm._cyclic_vps:
             raise ModelError(_CYCLE.format(cyclic[0]))
         self.vps = frozen.vps  # the declared variation points, never changed
         self.vp_of, self.variants = dict(frozen.vp_of), dict(frozen.variants)
