@@ -8,11 +8,18 @@ model: interactions between bound activities become interactions between
 their variants, interactions propagate upward between the refined parent
 activities, and refinements become parent edges between a child's variation
 point and the variant bound to the parent activity.
+
+Lifting passes change one working state, ``_Lifting``, in place, and the
+frozen models are built once, at the end, from parts already in ascending
+order: ``map_layers`` is one pass over a fresh state, and
+``derive_initial_vm`` runs its three passes over one state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, replace
+from itertools import chain, starmap
 
 from .model import (
     Binding,
@@ -29,8 +36,13 @@ from .model import (
     VariabilityRefinement,
     VariationPoint,
     Variant,
+    _KEYS,
     check_product_includes,
 )
+
+_KEY = _KEYS[Interaction]
+_PASSES = ((Layer.COMPONENT, Layer.FUNCTIONAL), (Layer.FUNCTIONAL, Layer.FEATURE),
+           (Layer.FEATURE, Layer.FEATURE))
 
 
 class DerivationError(ModelError):
@@ -75,10 +87,10 @@ def diff(model: LayeredModel, products: ProductSet | None = None) -> DiffResult:
     """
     if products is not None:
         check_product_includes(model, products, DerivationError)
-        variable = [
-            a for a in model.activities
-            if any(a.id not in p.includes for p in products.products)
-        ]
+        # With no products every activity is in all of them.
+        in_all = set(model.activities_by_id()).intersection(
+            *(p.includes for p in products.products))
+        variable = [a for a in model.activities if a.id not in in_all]
     else:
         variable = [a for a in model.activities if not a.mandatory]
 
@@ -106,8 +118,7 @@ def create_variation_points(difs: DiffResult, model: LayeredModel) -> ProductLin
     """One variation point per group, one variant and binding per variable activity."""
     activities = model.activities_by_id()
     vps: list[VariationPoint] = []
-    variants: list[Variant] = []
-    bindings: list[Binding] = []
+    members: list[tuple[str, str]] = []  # (activity id, variation point id)
     for group in difs.groups:
         layers = {activities[a].layer for a in group.activity_ids}
         if len(layers) != 1:
@@ -116,15 +127,111 @@ def create_variation_points(difs: DiffResult, model: LayeredModel) -> ProductLin
                 + ", ".join(sorted(layer.value for layer in layers)))
         vp = VariationPoint(id=f"vp:{group.key}", name=group.key, level=layers.pop())
         vps.append(vp)
-        for activity_id in group.activity_ids:
-            variant = Variant(
-                id=f"v:{activity_id}", name=activities[activity_id].name, vp_id=vp.id)
-            variants.append(variant)
-            bindings.append(Binding(
-                kind=BindingKind.ACTIVITY_VARIANT,
-                source_id=activity_id, target_id=variant.id))
-    vm = VariabilityModel(variation_points=tuple(vps), variants=tuple(variants))
-    return ProductLineModel(vm=vm, artifacts=model, bindings=tuple(bindings))
+        members.extend((activity_id, vp.id) for activity_id in group.activity_ids)
+    # The groups ascend by key, and so do their variation points. By activity
+    # id the variants and bindings ascend too, so the models take all as given.
+    members.sort()
+    vm = VariabilityModel(variation_points=tuple(vps), variants=tuple(
+        Variant(id=f"v:{a}", name=activities[a].name, vp_id=vp_id) for a, vp_id in members))
+    return ProductLineModel(vm=vm, artifacts=model, bindings=tuple(
+        Binding(kind=BindingKind.ACTIVITY_VARIANT, source_id=a, target_id=f"v:{a}")
+        for a, _ in members))
+
+
+class _Lifting:
+    """The working state of the lifting passes, which change it in place.
+
+    Interactions are held as their sort keys, ``(from_id, to_id, kind,
+    level, requires)``, which order as the records do. ``edges`` holds, per
+    layer, the interactions between two bound activities of that layer.
+    """
+
+    def __init__(self, plm: ProductLineModel) -> None:
+        self.plm = plm
+        self.activities = activities = plm.artifacts.activities_by_id()
+        self.bound = bound = plm._variant_of
+        self.vp_of = plm.vm._index.vp_of
+        self.parents = dict(plm.vm._index.parent)
+        self.variant_edges = set(map(_KEY, plm.vm.variant_interactions))
+        self.artifact_edges = set(map(_KEY, plm.artifacts.interactions))
+        self.lifted: list[tuple] = []  # artifact interactions the input lacks
+        self.edges: defaultdict[Layer, list[tuple]] = defaultdict(list)
+        # Per upper layer, the parents an activity's artifact refines there.
+        self.parents_in: defaultdict[Layer, dict[str, tuple[str, ...]]] = defaultdict(dict)
+        for edge in map(_KEY, plm.artifacts.interactions):
+            if edge[0] in bound and edge[1] in bound:
+                layer = activities[edge[0]].layer
+                if activities[edge[1]].layer is layer:
+                    self.edges[layer].append(edge)
+
+    def lift(self, lower: Layer, upper: Layer, strict: bool) -> None:
+        """One pass of ``map_layers`` from ``lower`` to ``upper``, a legal pair."""
+        activities, bound, vp_of, parents = self.activities, self.bound, self.vp_of, self.parents
+        refinement_parents = self.plm.artifacts.refinement_parents
+        known = self.parents_in[upper]
+
+        def upper_parents(activity_id: str) -> tuple[str, ...]:
+            found = known.get(activity_id)
+            if found is None:
+                found = known[activity_id] = tuple(
+                    p for p in refinement_parents(activities[activity_id].artifact_id)
+                    if p in activities and activities[p].layer is upper)
+            return found
+
+        def add_parent_edge(child_vp: str, parent_variant: str) -> None:
+            existing = parents.setdefault(child_vp, parent_variant)
+            if existing != parent_variant:
+                raise DerivationError(
+                    f"variation point {child_vp!r} would refine both variants "
+                    f"{existing!r} and {parent_variant!r}")
+
+        ascending = upper is not lower
+        # Ascending, as in the model: in strict mode a conflict names the first of
+        # two parent edges. The sort merges lifted edges into the input's run.
+        edges = self.edges[lower]
+        edges.sort()
+        for from_act, to_act, kind, _, requires in edges:
+            v_from, v_to = bound[from_act], bound[to_act]
+            if vp_of[v_from] != vp_of[v_to]:
+                self.variant_edges.add((v_from, v_to, kind, InteractionLevel.VARIANT, requires))
+            if not ascending:
+                continue
+            for parent_from in upper_parents(from_act):
+                for parent_to in upper_parents(to_act):
+                    edge = (parent_from, parent_to, kind, InteractionLevel.ARTIFACT, requires)
+                    if parent_from != parent_to and edge not in self.artifact_edges:
+                        self.artifact_edges.add(edge)
+                        self.lifted.append(edge)
+                        if parent_from in bound and parent_to in bound:
+                            self.edges[upper].append(edge)
+                    if strict:
+                        if parent_from in bound:
+                            add_parent_edge(vp_of[v_from], bound[parent_from])
+                        if parent_to in bound:
+                            add_parent_edge(vp_of[v_to], bound[parent_to])
+
+        if ascending and not strict:
+            # Refinement alone places a bound child group under its parent
+            # variant; no witnessing interaction is needed.
+            for activity in self.plm.artifacts.activities:
+                if activity.layer is lower and activity.id in bound:
+                    for parent in upper_parents(activity.id):
+                        if parent in bound:
+                            add_parent_edge(vp_of[bound[activity.id]], bound[parent])
+
+    def materialise(self) -> ProductLineModel:
+        """The frozen model, each collection built in ascending order."""
+        model = self.plm.artifacts
+        # Passes that lift nothing keep the layered model; else the sort merges
+        # the lifted interactions into the input's ascending run.
+        if self.lifted:
+            model = replace(model, interactions=tuple(sorted(
+                chain(model.interactions, starmap(Interaction, self.lifted)), key=_KEY)))
+        vm = replace(
+            self.plm.vm,
+            variant_interactions=tuple(starmap(Interaction, sorted(self.variant_edges))),
+            refinements=tuple(starmap(VariabilityRefinement, sorted(self.parents.items()))))
+        return replace(self.plm, vm=vm, artifacts=model)
 
 
 def map_layers(
@@ -140,94 +247,16 @@ def map_layers(
     activity. By default parent edges are added for every bound
     refinement pair whether or not an interaction witnesses it; with
     ``strict`` they are only added from witnessed pairs. Re-adding an
-    existing edge is a no-op.
+    existing edge is a no-op. This is one pass over a working state made
+    from ``plm``, materialised when the pass is done.
     """
     if upper is not lower and LAYER_ABOVE.get(lower) is not upper:
         raise DerivationError(
             f"cannot map from {lower.value!r} to {upper.value!r}: the upper layer must "
             f"be the same layer or exactly one layer above")
-    ascending = upper is not lower
-
-    model = plm.artifacts
-    activities = model.activities_by_id()
-    bound = plm._variant_of
-    variant_vp = plm.vm._index.vp_of
-
-    def upper_parents(activity_id: str) -> tuple[str, ...]:
-        return tuple(
-            p for p in model.refinement_parents(activities[activity_id].artifact_id)
-            if p in activities and activities[p].layer is upper
-        )
-
-    artifact_edges = set(model.interactions)
-    variant_edges = set(plm.vm.variant_interactions)
-    parent_edges: dict[str, str] = dict(plm.vm._index.parent)
-
-    def add_parent_edge(child_vp: str, parent_variant: str) -> None:
-        existing = parent_edges.get(child_vp)
-        if existing == parent_variant:
-            return
-        if existing is not None:
-            raise DerivationError(
-                f"variation point {child_vp!r} would refine both variants "
-                f"{existing!r} and {parent_variant!r}")
-        parent_edges[child_vp] = parent_variant
-
-    def lift(interaction: Interaction) -> None:
-        from_act, to_act = interaction.from_id, interaction.to_id
-        v_from, v_to = bound.get(from_act), bound.get(to_act)
-        if v_from is None or v_to is None:
-            return
-        if activities[from_act].layer is not lower or activities[to_act].layer is not lower:
-            return
-        if variant_vp[v_from] != variant_vp[v_to]:
-            variant_edges.add(Interaction(
-                from_id=v_from, to_id=v_to, kind=interaction.kind,
-                level=InteractionLevel.VARIANT, requires=interaction.requires))
-        if not ascending:
-            return
-        for parent_from in upper_parents(from_act):
-            for parent_to in upper_parents(to_act):
-                if parent_from != parent_to:
-                    artifact_edges.add(Interaction(
-                        from_id=parent_from, to_id=parent_to, kind=interaction.kind,
-                        level=InteractionLevel.ARTIFACT, requires=interaction.requires))
-                if strict:
-                    if parent_from in bound:
-                        add_parent_edge(variant_vp[v_from], bound[parent_from])
-                    if parent_to in bound:
-                        add_parent_edge(variant_vp[v_to], bound[parent_to])
-
-    for interaction in model.interactions:
-        lift(interaction)
-
-    if ascending and not strict:
-        # Refinement alone places a bound child group under its parent
-        # variant; no witnessing interaction is needed.
-        for activity in model.activities:
-            if activity.layer is not lower or activity.id not in bound:
-                continue
-            for parent in upper_parents(activity.id):
-                if parent in bound:
-                    add_parent_edge(variant_vp[bound[activity.id]], bound[parent])
-
-    # A pass that adds no artifact interaction (feature to feature adds none) keeps the model.
-    new_model = model if len(artifact_edges) == len(model.interactions) else LayeredModel(
-        artifacts=model.artifacts,
-        activities=model.activities,
-        refinements=model.refinements,
-        interactions=tuple(artifact_edges),
-    )
-    new_vm = VariabilityModel(
-        variation_points=plm.vm.variation_points,
-        variants=plm.vm.variants,
-        variant_interactions=tuple(variant_edges),
-        refinements=tuple(
-            VariabilityRefinement(child_vp_id=c, parent_variant_id=p)
-            for c, p in parent_edges.items()
-        ),
-    )
-    return ProductLineModel(vm=new_vm, artifacts=new_model, bindings=plm.bindings)
+    lifting = _Lifting(plm)
+    lifting.lift(lower, upper, strict)
+    return lifting.materialise()
 
 
 def derive_initial_vm(
@@ -236,9 +265,10 @@ def derive_initial_vm(
     *,
     strict: bool = False,
 ) -> ProductLineModel:
-    """Full derivation: diff, create variation points, then map layer by layer."""
-    plm = create_variation_points(diff(model, products), model)
-    plm = map_layers(plm, Layer.COMPONENT, Layer.FUNCTIONAL, strict=strict)
-    plm = map_layers(plm, Layer.FUNCTIONAL, Layer.FEATURE, strict=strict)
-    plm = map_layers(plm, Layer.FEATURE, Layer.FEATURE, strict=strict)
-    return plm
+    """Full derivation: diff, create variation points, then the three
+    ``map_layers`` passes (component to functional, functional to feature,
+    feature to feature) over one working state, materialised once."""
+    lifting = _Lifting(create_variation_points(diff(model, products), model))
+    for lower, upper in _PASSES:
+        lifting.lift(lower, upper, strict)
+    return lifting.materialise()

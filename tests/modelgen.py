@@ -115,13 +115,16 @@ def random_plm(
 
 
 def random_layered(
-    rng: random.Random, label_all_difs: bool = False
+    rng: random.Random, label_all_difs: bool = False, tangled: bool = False
 ) -> tuple[LayeredModel, ProductSet | None]:
     """A random valid layered model, sometimes with a product set.
 
     With ``label_all_difs`` every non-mandatory activity carries a group
     label, which guarantees the model is derivable (no ungroupable
-    variable activities).
+    variable activities). With ``tangled`` a group label is shared by the
+    artifacts of a layer and an artifact may refine a second parent, so a
+    group can sit under two parent variants and lifting can refuse it;
+    without it the draws are those of earlier versions.
     """
     activities: list[Activity] = []
     artifacts: list[FunctionalArtifact] = []
@@ -139,7 +142,7 @@ def random_layered(
                 mandatory = rng.random() < 0.4
                 group = None
                 if not mandatory and (label_all_difs or rng.random() < 0.7):
-                    group = f"{artifact_id}-g{rng.randint(0, 1)}"
+                    group = f"{layer.value if tangled else artifact_id}-g{rng.randint(0, 1)}"
                 act = Activity(id=act_id, name=f"Activity {act_id}", layer=layer,
                                artifact_id=artifact_id, mandatory=mandatory, group=group)
                 activities.append(act)
@@ -150,12 +153,15 @@ def random_layered(
             upper = {Layer.FUNCTIONAL: Layer.FEATURE,
                      Layer.COMPONENT: Layer.FUNCTIONAL}.get(layer)
             if upper and by_layer[upper] and rng.random() < 0.8:
-                parent = rng.choice(by_layer[upper])
                 kind = RefinementKind.FEATURE if upper is Layer.FEATURE \
                     else RefinementKind.FUNCTIONAL
-                refinements.append(Refinement(
-                    child_artifact_id=artifact_id, parent_activity_id=parent.id,
-                    kind=kind))
+                parents = [rng.choice(by_layer[upper])]
+                if tangled and rng.random() < 0.3:
+                    parents.append(rng.choice(by_layer[upper]))
+                for parent in parents:
+                    refinements.append(Refinement(
+                        child_artifact_id=artifact_id, parent_activity_id=parent.id,
+                        kind=kind))
 
     interactions: set[Interaction] = set()
     for layer in LAYERS:
