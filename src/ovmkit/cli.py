@@ -59,11 +59,11 @@ def build_report(
     final = len(after.vm.variation_points)
     percentage = round(100 * (initial - final) / initial) if initial else 0
 
-    def valid_count(plm: ProductLineModel) -> int | None:
-        try:
-            return len(configspace.enumerate_valid(plm, budget))
-        except BudgetExceededError:
+    def valid_count(plm: ProductLineModel, unconstrained: int) -> int | None:
+        # Over the budget, enumerate_valid would only count again and refuse.
+        if unconstrained > budget:
             return None
+        return len(configspace.enumerate_valid(plm, budget))
 
     merges = None
     if trace is not None:
@@ -72,14 +72,16 @@ def build_report(
             raise ModelError(
                 f"trace lists {len(merges)} merges but the models differ by "
                 f"{initial - final} variation points")
+    unconstrained_before = configspace.unconstrained_count(before.vm)
+    unconstrained_after = configspace.unconstrained_count(after.vm)
     return ReductionReport(
         initial_vp_count=initial,
         final_vp_count=final,
         reduction_percentage=percentage,
-        unconstrained_before=configspace.unconstrained_count(before.vm),
-        unconstrained_after=configspace.unconstrained_count(after.vm),
-        valid_before=valid_count(before),
-        valid_after=valid_count(after),
+        unconstrained_before=unconstrained_before,
+        unconstrained_after=unconstrained_after,
+        valid_before=valid_count(before, unconstrained_before),
+        valid_after=valid_count(after, unconstrained_after),
         merges=merges,
     )
 

@@ -17,9 +17,11 @@ check of the whole column by exact type (``True`` is not ``1``), then
 record, which raises the error of the document's first fault.
 
 The writer makes text, not dicts: each table keeps its rows sorted by key in
-one ``str.format`` template, filled a column at a time, and each codec
-writes its value's JSON text (strings through the C escaper of
-``json.encoder``). The bytes are those of ``json.dumps(doc,
+one ``str.format`` template per indentation, filled a column at a time, and
+each codec writes its value's JSON text (strings through the C escaper of
+``json.encoder``). Each line is written once, at its final indentation:
+a multi-line text is given the pad of the line it starts on, and nothing is
+re-indented afterwards. The bytes are those of ``json.dumps(doc,
 ensure_ascii=False, indent=2, sort_keys=True)`` plus a newline. A string
 with a lone surrogate has no UTF-8 form, so the reader rejects it, naming
 the field; the check runs only on a text that holds a ``\\u`` escape.
@@ -30,7 +32,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cache, partial
 from itertools import chain, compress, groupby, repeat
 from json.encoder import encode_basestring as _escape
 from operator import attrgetter, is_not, itemgetter
@@ -150,22 +152,21 @@ def serialize(model, *, products: ProductSet | None = None) -> bytes:
     """Canonical document bytes for a model, configuration, or trace."""
     if isinstance(model, LayeredModel):
         kind, body = KIND_LAYERED, _LAYERED_DOCUMENT.text(
-            SimpleNamespace(model=model, products=products and products.products))
+            SimpleNamespace(model=model, products=products and products.products), "  ")
     elif isinstance(model, ProductLineModel):
         if model.artifacts.is_empty and not model.bindings:
-            kind, body = KIND_VARIABILITY, _VARIABILITY.text(model)
+            kind, body = KIND_VARIABILITY, _VARIABILITY.text(model, "  ")
         else:
-            kind, body = KIND_PRODUCT_LINE, _object_text([
-                '"layered": ' + _LAYERED.text(model.artifacts),
-                '"variability": ' + _VARIABILITY.text(model)])
+            kind, body = KIND_PRODUCT_LINE, (
+                f'{{\n    "layered": {_LAYERED.text(model.artifacts, "    ")},\n'
+                f'    "variability": {_VARIABILITY.text(model, "    ")}\n  }}')
     elif isinstance(model, Configuration):
-        kind, body = KIND_CONFIGURATION, _CONFIGURATION.text(model)
+        kind, body = KIND_CONFIGURATION, _CONFIGURATION.text(model, "  ")
     elif isinstance(model, ReductionTrace):
-        kind, body = KIND_TRACE, _TRACE.text(model)
+        kind, body = KIND_TRACE, _TRACE.text(model, "  ")
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     # One piece for the envelope: each copy of a large text adds to peak memory.
-    body = body.replace("\n", "\n  ")
     return (f'{{\n  "body": {body},\n  "kind": {_escape(kind)},\n'
             f'  "schema_version": {_escape(SCHEMA_VERSION)}\n}}\n').encode()
 
@@ -208,26 +209,25 @@ def _check_valid(plm: ProductLineModel) -> None:
 
 _REQUIRED = object()  # the default of a field that must be present
 _ABSENT = object()  # a field's value in a column when its key is missing
-_ITEM = ",\n  "  # between the fields of a record
 
 
 class _Codec(NamedTuple):
     read: Any  # (JSON object, where, key) -> field value; errors name {where}.{key}
-    text: Any = _escape  # field value -> its JSON text, indented as at the top level
+    text: Any = _escape  # field value -> its JSON text
     column: Any = None  # JSON values -> field values, or None when any may be faulty
-    lines: bool = False  # whether the text may span lines
+    lines: bool = False  # may span lines; ``text`` then takes ``pad=``, its first line's pad
 
 
-def _object_text(parts: list[str]) -> str:
-    """A JSON object from its ``"key": value`` parts, in key order. Escaped
-    strings hold no raw newline, so every newline starts an indented line."""
-    inner = ",\n".join(parts).replace("\n", "\n  ")
-    return f"{{\n  {inner}\n}}" if parts else "{}"
+def _object_text(parts: list[str], pad: str) -> str:
+    """A JSON object from its ``"key": value`` parts, in key order, on a line
+    that starts with ``pad``; the parts are already at ``pad`` plus two spaces."""
+    inner = (",\n" + pad + "  ").join(parts)
+    return f"{{\n{pad}  {inner}\n{pad}}}" if parts else "{}"
 
 
-def _array_text(items: list[str]) -> str:
-    inner = ",\n".join(items).replace("\n", "\n  ")
-    return f"[\n  {inner}\n]" if items else "[]"
+def _array_text(items: list[str], pad: str) -> str:
+    inner = (",\n" + pad + "  ").join(items)
+    return f"[\n{pad}  {inner}\n{pad}]" if items else "[]"
 
 
 def _object(value, where: str) -> dict:
@@ -289,8 +289,9 @@ def _pairing(obj: dict, where: str, key: str) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(pairing.items()))
 
 
-def _pairing_text(pairing) -> str:
-    return _object_text([_escape(t) + ": " + _escape(s) for t, s in sorted(dict(pairing).items())])
+def _pairing_text(pairing, pad: str) -> str:
+    return _object_text([_escape(t) + ": " + _escape(s) for t, s in sorted(dict(pairing).items())],
+                        pad)
 
 
 def _group(obj: dict, where: str, key: str) -> str:
@@ -333,14 +334,15 @@ def _records(table, *, required: bool = False) -> _Codec:
         return table.column(items) or tuple(
             [table.read(item, f"{path}[{i}]") for i, item in enumerate(items)])
 
-    return _Codec(read, lambda records: _array_text(table.items(records)), lines=True)
+    return _Codec(read, lambda records, pad: _array_text(table.items(records, pad + "  "), pad),
+                  lines=True)
 
 
 _STRING = _Codec(_string, column=lambda values: (
     values if _only({str}, values) and "" not in values else None))
 _BOOLEAN = _Codec(_boolean, {True: "true", False: "false"}.__getitem__,
                   lambda values: values if _only({bool}, values) else None)
-_STRINGS = _Codec(_strings, lambda values: _array_text(list(map(_escape, values))),
+_STRINGS = _Codec(_strings, lambda values, pad: _array_text(list(map(_escape, values)), pad),
                   lambda values: list(map(tuple, values)) if _only({list}, values)
                   and _only({str}, chain.from_iterable(values)) else None, lines=True)
 _LAYER = _enum(Layer)
@@ -354,7 +356,8 @@ class _Table:
     position (``make`` is ``tuple``; rows in position order), or a dotted
     path into the written record whose last name is the keyword ``make`` gets.
     ``check`` is a rule across fields, run on the records a column read makes.
-    The writer keeps the rows in key order, in one template."""
+    The writer keeps the rows in key order, in one template per pad it is
+    asked for, made on first use."""
 
     def __init__(self, make, *rows, check=None):
         rows = [row + (_STRING, _REQUIRED)[len(row) - 2:] for row in rows]
@@ -373,7 +376,7 @@ class _Table:
             self.build = zip if make is tuple else partial(map, cls)
             self.sources = [source.get(name) or (lambda _, value=constants[name]: repeat(value))
                             for name in names]
-        self.template, self.slots = _writer(sorted(rows, key=itemgetter(0)))
+        self.writer = cache(partial(_writer, sorted(rows, key=itemgetter(0))))
 
     def read(self, raw, where: str):
         obj = _object(raw, where)
@@ -394,13 +397,15 @@ class _Table:
         records = tuple(self.build(*columns))
         return records if self.check is None or self.check(records) else None
 
-    def text(self, record) -> str:
-        return self.template(*[text(get(record)) for get, text in self.slots])
+    def text(self, record, pad: str) -> str:
+        """The record's text on a line that starts with ``pad``."""
+        template, slots = self.writer(pad)
+        return template(*[text(get(record)) for get, text in slots])
 
-    def items(self, records) -> list[str]:
+    def items(self, records, pad: str) -> list[str]:
         """Each record's text, a field at a time."""
-        columns = [map(text, map(get, records)) for get, text in self.slots]
-        return list(map(self.template, *columns))
+        template, slots = self.writer(pad)
+        return list(map(template, *[map(text, map(get, records)) for get, text in slots]))
 
 
 def _field(key: str, column, default, items: list):
@@ -414,27 +419,28 @@ def _field(key: str, column, default, items: list):
     return list(map({_ABSENT: default}.get, values, values))
 
 
-def _writer(rows):
-    """A ``str.format`` template for a record, and per slot (in key order) a getter and
-    a text function. An optional row's slot holds ``"key": value`` and a separator, or ""."""
+def _writer(rows, pad: str):
+    """A ``str.format`` template for a record on a line that starts with ``pad``, and
+    per slot (in key order) a getter and a text function. An optional row's slot holds
+    ``"key": value`` and a separator, or ""."""
+    item = ",\n" + pad + "  "  # between the fields of the record
     parts, slots, pending = [], [], ""
     for i, (key, attr, codec, default) in enumerate(rows):
-        text = (lambda value, text=codec.text: text(value).replace("\n", "\n  ")) \
-            if codec.lines else codec.text
+        text = partial(codec.text, pad=pad + "  ") if codec.lines else codec.text
         if default is _REQUIRED:
             parts.append(pending + _escape(key) + ": {}")
             pending = ""
         else:
             last = all(row[3] is not _REQUIRED for row in rows[i:])
-            text = _slot(_ITEM if last else "", _escape(key) + ": ", text,
-                         "" if last else _ITEM, default)
+            text = _slot((item if last else "") + _escape(key) + ": ", text,
+                         "" if last else item, default)
             pending += "{}"
         slots.append(((itemgetter if isinstance(attr, int) else attrgetter)(attr), text))
-    return f"{{{{\n  {_ITEM.join(parts)}{pending}\n}}}}".format, slots
+    return f"{{{{\n{pad}  {item.join(parts)}{pending}\n{pad}}}}}".format, slots
 
 
-def _slot(before: str, prefix: str, text, after: str, default):
-    return lambda value: "" if value == default else before + prefix + text(value) + after
+def _slot(prefix: str, text, after: str, default):
+    return lambda value: "" if value == default else f"{prefix}{text(value)}{after}"
 
 
 def _variability(bindings, **fields) -> tuple[VariabilityModel, tuple[Binding, ...]]:
@@ -465,9 +471,9 @@ class _Bindings:
         return next((t.column(items) for t in _Bindings.tables.values() if {t.keys} == keys), None)
 
     @staticmethod
-    def items(bindings) -> list[str]:
+    def items(bindings, pad: str) -> list[str]:
         return [text for kind, run in groupby(bindings, attrgetter("kind"))
-                for text in _Bindings.tables[kind].items(tuple(run))]
+                for text in _Bindings.tables[kind].items(tuple(run), pad)]
 
 
 _ACTIVITY = _Table(
@@ -532,5 +538,5 @@ _TRACE = _Table(
 _CONFIGURATION = _Table(
     Configuration,
     ("selection", "selection", _Codec(lambda *args: frozenset(_strings(*args)),
-                                      lambda selection: _STRINGS.text(sorted(selection)),
+                                      lambda selection, pad: _STRINGS.text(sorted(selection), pad),
                                       lines=True)))

@@ -161,17 +161,23 @@ class VariabilityRefinement:
     parent_variant_id: str
 
 
-def _sorted_unique(items, key=None) -> tuple:
-    """``items`` deduplicated and sorted by ``key``; input that is already
-    strictly ascending comes back as it is, without a sort."""
-    items = tuple(items)
+def _sorted_unique(items, cls=None) -> tuple:
+    """``items`` deduplicated and sorted by ``_KEYS[cls]`` (strings: by
+    themselves); input that is already strictly ascending comes back as it is,
+    without a sort. For a type in ``_LEADS`` the leading field alone is
+    checked first, so its full key is built only when that check fails."""
+    items, key, lead = tuple(items), _KEYS.get(cls), _LEADS.get(cls)
+    if lead is not None:
+        leads = tuple(map(lead, items))
+        if all(map(lt, leads, leads[1:])):
+            return items
     keys = items if key is None else tuple(map(key, items))
     return items if all(map(lt, keys, keys[1:])) else tuple(sorted(set(items), key=key))
 
 
 def _normalize(obj, **types) -> None:
     for name, cls in types.items():
-        object.__setattr__(obj, name, _sorted_unique(getattr(obj, name), _KEYS[cls]))
+        object.__setattr__(obj, name, _sorted_unique(getattr(obj, name), cls))
 
 
 def _grouped(pairs) -> dict[str, tuple[str, ...]]:
@@ -367,6 +373,10 @@ _KEYS = {cls: attrgetter(*(f.name for f in fields(cls))) for cls in (
     FunctionalArtifact, Refinement, Interaction, VariationPoint, Variant, Binding,
     VariabilityRefinement, Product)} | {Activity: lambda a: (
         a.id, a.name, a.layer, a.artifact_id, a.mandatory, "" if a.group is None else a.group)}
+# The leading key field, where it is an id: strictly ascending, it makes the
+# whole key strictly ascending. Interactions and bindings repeat theirs.
+_LEADS = {cls: attrgetter(fields(cls)[0].name) for cls in (
+    Activity, FunctionalArtifact, VariationPoint, Variant, VariabilityRefinement, Product)}
 _CYCLE = "variability refinements form a cycle through {!r}"
 
 

@@ -13,9 +13,10 @@ import pytest
 
 from conftest import GOLDEN_DIR
 from modelgen import random_plm
-from ovmkit import corpus_path
-from ovmkit.cli import main
+from ovmkit import configs, corpus_path
+from ovmkit.cli import ReductionReport, build_report, main
 from ovmkit.documents import serialize
+from ovmkit.reduction import reduce
 
 
 # Child interpreters import ovmkit from this checkout's src/, as pytest does.
@@ -219,6 +220,19 @@ class TestReport:
         assert code == 0
         payload = json.loads(out)
         assert payload["reduction_percentage"] == 0
+
+    @pytest.mark.parametrize("budget, counts, valid", [
+        (1, 2, (None, None)), (16, 3, (None, 16)), (32, 4, (16, 16))])
+    def test_each_unconstrained_space_is_counted_once_per_report(
+            self, monkeypatch, logistics_plm, budget, counts, valid):
+        # Only a model within the budget is enumerated, which counts it again.
+        reduced, trace = reduce(logistics_plm)
+        calls, count = [], configs.unconstrained_count
+        monkeypatch.setattr(configs, "unconstrained_count",
+                            lambda vm: calls.append(vm) or count(vm))
+        report = build_report(logistics_plm, reduced, trace, budget)
+        assert len(calls) == counts
+        assert report == ReductionReport(5, 4, 20, 32, 16, *valid, (("ble", "tir"),))
 
     def test_percentage_formula_holds(self, capsys, engine_plm_path, logistics_path):
         for before, after in [

@@ -16,11 +16,12 @@ import json
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_documents
-from ovmkit import corpus_dir
+from ovmkit import corpus_dir, documents
 from ovmkit.configs import Configuration
 from ovmkit.documents import serialize
 from ovmkit.model import (
@@ -42,6 +43,8 @@ from ovmkit.model import (
     VariabilityRefinement,
     VariationPoint,
     Variant,
+    _KEYS,
+    _sorted_unique,
 )
 from ovmkit.reduction import MergeRecord, ReductionTrace
 
@@ -69,14 +72,15 @@ def interactions(level: InteractionLevel):
 layered_models = st.builds(
     LayeredModel, *(st.lists(s, **SMALL).map(tuple) for s in (
         artifacts, activities, refinements, interactions(InteractionLevel.ARTIFACT))))
-product_sets = st.none() | st.builds(ProductSet, st.lists(st.builds(
-    Product, IDS, st.lists(IDS, **SMALL).map(tuple)), **SMALL).map(tuple))
+products = st.builds(Product, IDS, st.lists(IDS, **SMALL).map(tuple))
+product_sets = st.none() | st.builds(ProductSet, st.lists(products, **SMALL).map(tuple))
+variation_points = st.builds(VariationPoint, IDS, TEXT, st.sampled_from(Layer))
+variants = st.builds(Variant, IDS, TEXT, IDS)
+variability_refinements = st.builds(VariabilityRefinement, IDS, IDS)
 variability_models = st.builds(
     VariabilityModel, *(st.lists(s, **SMALL).map(tuple) for s in (
-        st.builds(VariationPoint, IDS, TEXT, st.sampled_from(Layer)),
-        st.builds(Variant, IDS, TEXT, IDS),
-        interactions(InteractionLevel.VARIANT),
-        st.builds(VariabilityRefinement, IDS, IDS))))
+        variation_points, variants, interactions(InteractionLevel.VARIANT),
+        variability_refinements)))
 bindings = st.builds(Binding, st.sampled_from(BindingKind), IDS, IDS)
 # An empty layered model without bindings is written as a variability model,
 # anything else as a product-line model.
@@ -142,6 +146,72 @@ def test_empty_collections_and_absent_optional_fields():
     assert '"bindings"' not in serialize(ProductLineModel()).decode()
 
 
+# -- records at depth ---------------------------------------------------------
+# Each table writes its records at the indentation they end up at, so one
+# table is written at several depths: these cases pin each depth and each
+# optional row against ``json.dumps``.
+
+GROUPED = Activity("a", "A", Layer.FUNCTIONAL, "f", False, group="G")
+PLAIN = Activity("b", "B", Layer.FUNCTIONAL, "f", True)
+FLOWS = (Interaction("a", "b", InteractionKind.MATERIAL, InteractionLevel.ARTIFACT),
+         Interaction("b", "a", InteractionKind.INFORMATION, InteractionLevel.ARTIFACT,
+                     requires=True))
+ACTIVITIES = LayeredModel(artifacts=(FunctionalArtifact("f", Layer.FUNCTIONAL, ("a", "b")),),
+                          activities=(GROUPED, PLAIN), interactions=FLOWS)
+VM = VariabilityModel(
+    variation_points=(VariationPoint("x", "X", Layer.FUNCTIONAL),
+                      VariationPoint("y", "Y", Layer.FEATURE)),
+    variants=(Variant("x1", "X1", "x"), Variant("y1", "Y1", "y")),
+    variant_interactions=(
+        Interaction("x1", "y1", InteractionKind.MATERIAL, InteractionLevel.VARIANT),
+        Interaction("y1", "x1", InteractionKind.MATERIAL, InteractionLevel.VARIANT,
+                    requires=True)),
+    refinements=(VariabilityRefinement("y", "x1"),))
+MERGES = (MergeRecord("s", "t", (), (), (), ()),
+          MergeRecord("s", "t", (("t1", "s1"), ("t2", "s1")), (("a", "t1", "s1"),),
+                      (("y", "t2", "s1"),), (("t1", "z1", "s1", "z1"),)))
+
+
+def test_one_table_written_at_two_depths():
+    """The activity table in a layered-model document, then one level deeper
+    in a product-line document; its templates are made once per depth."""
+    layered, plm = ACTIVITIES, ProductLineModel(artifacts=ACTIVITIES)
+    check_writer(layered)
+    check_writer(plm)
+    assert '\n        "group": "G",\n' in serialize(layered).decode()
+    assert '\n          "group": "G",\n' in serialize(plm).decode()
+    made = documents._ACTIVITY.writer.cache_info()
+    serialize(layered), serialize(plm)
+    assert documents._ACTIVITY.writer.cache_info().misses == made.misses
+
+
+@pytest.mark.parametrize("value, products", [
+    (ACTIVITIES, None),  # group and requires present and absent, no products row
+    (LayeredModel(activities=(PLAIN,)), None),  # no group anywhere, no interactions
+    (ACTIVITIES, ProductSet((Product("p", ("a",)), Product("q", ())))),
+    (ACTIVITIES, ProductSet()),  # an empty products row
+    (ProductLineModel(vm=VM), None),  # no bindings row: a variability-model document
+    (ProductLineModel(vm=VM, artifacts=ACTIVITIES), None),  # no bindings row, two levels
+    (ProductLineModel(vm=VM, artifacts=ACTIVITIES, bindings=(
+        Binding(BindingKind.ACTIVITY_VARIANT, "a", "x1"),
+        Binding(BindingKind.ARTIFACT_VP, "f", "x"))), None),
+    (ProductLineModel(vm=VariabilityModel(variants=(Variant("x1", "X1", "x"),)), artifacts=(
+        LayeredModel(artifacts=(FunctionalArtifact("f", Layer.FEATURE, ()),)))), None),
+], ids=["layered", "layered-plain", "products", "no-products", "variability",
+        "product-line", "bindings", "empty-at-depth"])
+def test_optional_rows_and_empty_collections_at_depth(value, products):
+    check_writer(value, products)
+
+
+@pytest.mark.parametrize("merges", [(), MERGES[:1], MERGES[1:], MERGES],
+                         ids=["none", "empty", "full", "both"])
+def test_trace_sub_records_empty_and_not(merges):
+    check_writer(ReductionTrace(merges, 3))
+    text = serialize(ReductionTrace(merges, 3)).decode()
+    assert ('\n        "pairing": {},\n' in text) == (MERGES[0] in merges)
+    assert ('\n          "t1": "s1",\n' in text) == (MERGES[1] in merges)
+
+
 # -- normalisation ------------------------------------------------------------
 
 def shuffled(items, rng: random.Random) -> tuple:
@@ -184,6 +254,25 @@ def test_shuffled_and_duplicated_input_normalizes_to_the_same_model(model, produ
         assert serialize(again, products=more) == serialize(model, products=products)
     again = scrambled_plm(plm, rng)
     assert again == plm and serialize(again) == serialize(plm)
+
+
+RECORDS = {
+    Activity: activities, FunctionalArtifact: artifacts, Refinement: refinements,
+    Interaction: interactions(InteractionLevel.ARTIFACT) | interactions(InteractionLevel.VARIANT),
+    VariationPoint: variation_points, Variant: variants, Binding: bindings,
+    VariabilityRefinement: variability_refinements, Product: products}
+
+
+@settings(deadline=None, max_examples=60, database=None)
+@given(st.data(), st.randoms(use_true_random=False))
+def test_order_decided_on_the_leading_field_equals_a_full_sort(data, rng):
+    """Ids repeat, so leading fields tie and the full key decides."""
+    for cls, records in RECORDS.items():
+        items = tuple(data.draw(st.lists(records, max_size=6), label=cls.__name__))
+        expected = tuple(sorted(set(items), key=_KEYS[cls]))
+        for given_items in (items, shuffled(items, rng), expected):
+            assert _sorted_unique(given_items, cls) == expected
+        assert _sorted_unique(expected, cls) is expected
 
 
 def test_canonical_input_is_kept_as_given():
