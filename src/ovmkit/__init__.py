@@ -5,6 +5,7 @@ from pathlib import Path
 from .configs import (
     BudgetExceededError,
     Configuration,
+    count_valid,
     enumerate_valid,
     unconstrained_count,
     validate_config,

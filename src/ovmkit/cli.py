@@ -60,10 +60,10 @@ def build_report(
     percentage = round(100 * (initial - final) / initial) if initial else 0
 
     def valid_count(plm: ProductLineModel, unconstrained: int) -> int | None:
-        # Over the budget, enumerate_valid would only count again and refuse.
+        # Over the budget, count_valid would only count again and refuse.
         if unconstrained > budget:
             return None
-        return len(configspace.enumerate_valid(plm, budget))
+        return configspace.count_valid(plm, budget)
 
     merges = None
     if trace is not None:
@@ -252,7 +252,7 @@ def _cmd_configs(args) -> int:
 
     if args.count:
         unconstrained = configspace.unconstrained_count(plm.vm)
-        valid = len(configspace.enumerate_valid(plm, budget))
+        valid = configspace.count_valid(plm, budget)
         if args.format == "json":
             _print_json({"unconstrained": str(unconstrained), "valid": str(valid)})
         else:

@@ -6,11 +6,10 @@ parent variant is selected. Interactions act as closure constraints: when
 both endpoint variation points are active, the two variants are selected
 together or not at all.
 
-``validate_config`` is the reference for these rules. ``enumerate_valid``
-finds the valid configurations by a depth-first search over the active
-variation points that cuts a branch as soon as it breaks one of them; it
-shares one children-first walk of the model's lookups with the count. Both
-refuse a model whose refinements form a cycle, reached from a root or not.
+``validate_config`` is the reference for these rules. One depth-first walk
+over one mutable path, which cuts a branch as soon as it breaks one of them,
+serves ``enumerate_valid`` and ``count_valid``. Both, and the unconstrained
+count, refuse a model whose refinements form a cycle, reached from a root or not.
 """
 
 from __future__ import annotations
@@ -71,11 +70,19 @@ def unconstrained_count(vm: VariabilityModel) -> int:
     ignoring interactions. Exact (arbitrary precision); iterative, so depth
     is unbounded."""
     index = vm._index
-    ways: dict[str, int] = {}
-    for vp_id in _children_first(vm):
-        ways[vp_id] = sum(prod(ways[c] for c in index.children.get(v, ()))
-                          for v in index.variants.get(vp_id, ()))
+    ways = _ways(_children_first(vm), lambda vp_id: (
+        (v, index.children.get(v, ())) for v in index.variants.get(vp_id, ())))
     return prod(ways[root.id] for root in index.roots)
+
+
+def _ways(order, options_of) -> dict[str, int]:
+    """Per variation point of ``order`` (children first), the selections
+    under it: over its options ``(variant, child vps)``, the sum of the
+    products of the children's."""
+    ways: dict[str, int] = {}
+    for vp_id in order:
+        ways[vp_id] = sum(prod(ways[c] for c in children) for _, children in options_of(vp_id))
+    return ways
 
 
 def _children_first(vm: VariabilityModel) -> list[str]:
@@ -156,40 +163,47 @@ def enumerate_valid(
     plm: ProductLineModel, budget: int | None = None
 ) -> list[Configuration]:
     """All zero-violation configurations, ordered lexicographically by their
-    sorted variant ids. Refuses when the unconstrained space exceeds the budget.
+    sorted variant ids. Refuses when the unconstrained space exceeds the budget,
+    and raises ``ModelError`` when the refinements form a cycle, which
+    ``validate`` also reports. Each leaf of the walk adds its sorted ids to
+    one list, which is sorted once; the configurations are built in order."""
+    choices, requires, roots = _search_space(plm, budget)
+    found = [tuple(sorted(chosen.values())) for chosen in _leaves(choices, requires, roots)]
+    found.sort()
+    return list(map(Configuration, map(frozenset, found)))
 
-    One depth-first search over the active variation points: the first
-    pending variation point takes each of its variants in turn, and the
-    variant's child variation points join the pending ones. A branch is cut
-    as soon as it breaks what ``validate_config`` rejects:
 
-    - when the model binds any activity to a variant, variants that bind
-      none are never tried. Nor is a variant that would activate a
-      variation point left with no variant to try, and a root left with
-      none leaves no configuration at all;
-    - an interaction is checked once both its variation points have chosen:
-      both variants selected or neither. An interaction between two variants
-      of one variation point rules both out; one whose other variation point
-      never becomes active imposes nothing.
+def count_valid(plm: ProductLineModel, budget: int | None = None) -> int:
+    """``len(enumerate_valid(plm, budget))``, with the same refusals, but no
+    configuration is built. With no interaction between two variation points
+    the count is ``unconstrained_count``'s recurrence over the pruned
+    choices; otherwise it adds up the leaves of the walk."""
+    choices, requires, roots = _search_space(plm, budget)
+    if requires:
+        return sum(1 for _ in _leaves(choices, requires, roots))
+    ways = _ways(choices, choices.__getitem__)
+    return prod(ways[root] for root in roots)
 
-    Every choice keeps one variant per active variation point and none
-    elsewhere, so each leaf is a valid configuration. Raises ``ModelError``
-    when the refinements form a cycle, which ``validate`` also reports.
-    """
+
+def _search_space(plm: ProductLineModel, budget: int | None):
+    """Refuse over the budget, then prune: variants that bind no activity when
+    any does, both ends of an interaction within one variation point, and
+    variants that activate a variation point left with nothing to try. Returns
+    the choices ``(variant, child vps)`` per reachable vp, children first; per
+    variant, what choosing it asks of another vp once that one has chosen too,
+    ``(vp, variant, whether that variant must be its choice)``, which holds
+    nothing over a vp that never becomes active; and the root ids."""
     if budget is None:
         budget = default_budget()
     vm = plm.vm
     count = unconstrained_count(vm)
     if count > budget:
         raise BudgetExceededError(count, budget)
-
     index = vm._index
     excluded: set[str] = set()
     bound = plm._variant_of.values()
     if bound:
         excluded.update(index.vp_of.keys() - bound)
-    # Per variant, what choosing it asks of another variation point once that
-    # one has chosen too: (vp, variant, whether that variant must be its choice).
     requires: dict[str, list[tuple[str, str, bool]]] = defaultdict(list)
     for edge in vm.variant_interactions:
         a, b = edge.from_id, edge.to_id
@@ -201,32 +215,45 @@ def enumerate_valid(
         for mine, vp_mine, theirs, vp_theirs in ((a, vp_a, b, vp_b), (b, vp_b, a, vp_a)):
             for variant_id in index.variants[vp_mine]:
                 requires[variant_id].append((vp_theirs, theirs, variant_id == mine))
-    # Children before parents, so that a variant is tried only when it is
-    # allowed and every variation point it activates has a variant to try:
-    # then a branch can always be completed but for its interactions.
     choices: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
     for vp_id in _children_first(vm):
         options = ((v, index.children.get(v, ())) for v in index.variants.get(vp_id, ()))
         choices[vp_id] = [(v, children) for v, children in options
                           if v not in excluded and all(choices[c] for c in children)]
-    root_ids = tuple(vp.id for vp in index.roots)
+    return choices, requires, [vp.id for vp in index.roots]
 
-    found: list[Configuration] = []
-    # Each entry: the pending variation points and the choices made so far.
-    stack: list[tuple[tuple[str, ...], dict[str, str]]] = []
-    if all(choices[r] for r in root_ids):
-        stack.append((root_ids, {}))
-    while stack:
-        pending, chosen = stack.pop()
-        if not pending:
-            found.append(Configuration(selection=frozenset(chosen.values())))
-            continue
-        vp_id, rest = pending[0], pending[1:]
-        for variant_id, children in reversed(choices[vp_id]):
+
+def _leaves(choices, requires, pending: list[str]):
+    """Depth first from the ``pending`` variation points, the walk's one
+    ``{vp: variant}`` dict at each valid selection; it changes once the next
+    is asked for. The path is ``todo``, the active variation points in the
+    order they choose: depth d chooses ``todo[d]``, and a choice appends its
+    variant's child variation points. A choice is set on the way down and
+    undone on backtrack; a variant is tried only when every interaction with
+    a variation point that has chosen holds. Iterative: any depth works."""
+    chosen: dict[str, str] = {}
+    todo = list(pending)
+    if not todo:
+        yield chosen
+    # Per depth: the untried choices of todo[depth], and where its choice's children start.
+    frames = [(iter(choices[todo[0]]), len(todo))] if todo and all(map(choices.get, todo)) else []
+    while frames:
+        depth = len(frames) - 1
+        options, mark = frames[-1]
+        vp_id = todo[depth]
+        for variant_id, children in options:
             for other_vp, other, must in requires.get(variant_id, ()):
                 picked = chosen.get(other_vp)
                 if picked is not None and (picked == other) != must:
                     break
             else:
-                stack.append((rest + children, {**chosen, vp_id: variant_id}))
-    return sorted(found, key=lambda c: c.sorted_ids())
+                chosen[vp_id] = variant_id
+                del todo[mark:]
+                todo += children
+                if depth + 1 < len(todo):
+                    frames.append((iter(choices[todo[depth + 1]]), len(todo)))
+                    break
+                yield chosen
+        else:
+            frames.pop()
+            chosen.pop(vp_id, None)

@@ -16,6 +16,7 @@ from modelgen import random_plm
 from ovmkit import configs, corpus_path
 from ovmkit.cli import ReductionReport, build_report, main
 from ovmkit.documents import serialize
+from ovmkit.model import Layer, ProductLineModel, VariabilityModel, VariationPoint, Variant
 from ovmkit.reduction import reduce
 
 
@@ -305,6 +306,35 @@ class TestConfigs:
                            "--count", "--budget", "1000")
         assert code == 0
         assert "16 valid" in out
+
+    @staticmethod
+    def grid_path(tmp_path) -> Path:
+        """Six root variation points of ten variants each, with no bindings
+        and no interactions: 10^6 selections, all valid, the default budget."""
+        vps = [f"g{i}" for i in range(6)]
+        path = tmp_path / "grid.json"
+        path.write_bytes(serialize(ProductLineModel(vm=VariabilityModel(
+            variation_points=tuple(
+                VariationPoint(id=vp, name=vp.upper(), level=Layer.FEATURE) for vp in vps),
+            variants=tuple(
+                Variant(id=f"{vp}.{k}", name=f"{vp}.{k}", vp_id=vp)
+                for vp in vps for k in range(10))))))
+        return path
+
+    def test_count_builds_no_configuration(self, capsys, monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("--count enumerated the configurations")
+
+        monkeypatch.setattr(configs, "enumerate_valid", refuse)
+        code, out, _ = run(capsys, "configs", "-i", str(self.grid_path(tmp_path)), "--count")
+        assert code == 0
+        assert out.strip() == "1000000 unconstrained, 1000000 valid"
+
+    def test_count_one_over_the_budget_exits_three(self, capsys, tmp_path):
+        code, _, err = run(capsys, "configs", "-i", str(self.grid_path(tmp_path)),
+                           "--count", "--budget", "999999")
+        assert code == 3
+        assert "1000000" in err
 
 
 class TestUsage:

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-from ovmkit.configs import enumerate_valid, unconstrained_count
+from dataclasses import replace
+
+from ovmkit.configs import count_valid, enumerate_valid, unconstrained_count
 from ovmkit.documents import parse_variability_model, serialize
 from ovmkit.model import (
+    Interaction,
+    InteractionKind,
+    InteractionLevel,
     Layer,
     ProductLineModel,
     VariabilityModel,
@@ -45,3 +50,15 @@ def test_deep_chain_through_every_stage():
     assert unconstrained_count(plm.vm) == 1
     assert [c.selection for c in enumerate_valid(plm, budget=10)] == [
         frozenset(v.id for v in plm.vm.variants)]
+
+
+def test_deep_chain_counts_without_recursion():
+    plm = chain(DEPTH)
+    assert count_valid(plm, budget=10) == 1
+    # An interaction between its two ends puts the whole chain on the search.
+    first, last = plm.vm.variants[0].id, plm.vm.variants[-1].id
+    linked = replace(plm, vm=replace(plm.vm, variant_interactions=(Interaction(
+        from_id=first, to_id=last, kind=InteractionKind.MATERIAL,
+        level=InteractionLevel.VARIANT),)))
+    assert count_valid(linked, budget=10) == 1
+    assert len(enumerate_valid(linked, budget=10)) == 1

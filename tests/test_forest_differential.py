@@ -17,7 +17,7 @@ import random
 
 import reference_configs
 import reference_forest
-from ovmkit.configs import _children_first, enumerate_valid, unconstrained_count
+from ovmkit.configs import _children_first, count_valid, enumerate_valid, unconstrained_count
 from ovmkit.model import (
     Interaction,
     InteractionKind,
@@ -86,7 +86,7 @@ def differences(seed: int) -> list[str]:
     cyclic = [v.subject_ids[0] for v in out if v.invariant == "psi-forest-acyclicity"]
     if cyclic:
         calls = (lambda: unconstrained_count(vm), lambda: enumerate_valid(plm),
-                 lambda: reduce(plm))
+                 lambda: count_valid(plm), lambda: reduce(plm))
         for call in calls:
             refusal = _refusal(call)
             if refusal != f"variability refinements form a cycle through {cyclic[0]!r}":
@@ -104,8 +104,11 @@ def differences(seed: int) -> list[str]:
                 found.append("unconstrained_count")
             if sorted(_children_first(vm)) != sorted(reference_forest.children_first(vm)):
                 found.append("children_first")
-            if enumerate_valid(plm) != reference_configs.enumerate_valid(plm):
+            expected = reference_configs.enumerate_valid(plm)
+            if enumerate_valid(plm) != expected:
                 found.append("enumerate_valid")
+            if count_valid(plm) != len(expected):
+                found.append("count_valid")
     return found
 
 
