@@ -8,8 +8,8 @@ together or not at all.
 
 ``validate_config`` is the reference for these rules. One depth-first walk
 over one mutable path, which cuts a branch as soon as it breaks one of them,
-serves ``enumerate_valid`` and ``count_valid``. Both, and the unconstrained
-count, refuse a model whose refinements form a cycle, reached from a root or not.
+serves ``enumerate_valid`` and ``count_valid``. Counting, enumeration and
+``validate_config`` refuse a model that ``validate`` rejects.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .model import (
     ProductLineModel,
     VariabilityModel,
     Violation,
-    _CYCLE,
+    check_valid,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -69,6 +69,7 @@ def unconstrained_count(vm: VariabilityModel) -> int:
     """Number of selections of one variant per active variation point,
     ignoring interactions. Exact (arbitrary precision); iterative, so depth
     is unbounded."""
+    check_valid(vm._violations)
     index = vm._index
     ways = _ways(_children_first(vm), lambda vp_id: (
         (v, index.children.get(v, ())) for v in index.variants.get(vp_id, ())))
@@ -87,10 +88,8 @@ def _ways(order, options_of) -> dict[str, int]:
 
 def _children_first(vm: VariabilityModel) -> list[str]:
     """The variation points reachable from the roots, each after those below
-    it: their preorder, reversed. A refinement cycle raises ``ModelError``."""
+    it: their preorder, reversed."""
     index = vm._index
-    if cyclic := vm._cyclic_vps:
-        raise ModelError(_CYCLE.format(cyclic[0]))
     order, stack = [], [root.id for root in index.roots]
     while stack:
         vp_id = stack.pop()
@@ -116,6 +115,7 @@ def active_vps(vm: VariabilityModel, selection: frozenset[str]) -> set[str]:
 
 def validate_config(plm: ProductLineModel, cfg: Configuration) -> list[Violation]:
     """Violations of the configuration against the model; empty means valid."""
+    check_valid(plm._violations)
     vm = plm.vm
     index = vm._index
     for variant_id in sorted(cfg.selection):
@@ -163,10 +163,9 @@ def enumerate_valid(
     plm: ProductLineModel, budget: int | None = None
 ) -> list[Configuration]:
     """All zero-violation configurations, ordered lexicographically by their
-    sorted variant ids. Refuses when the unconstrained space exceeds the budget,
-    and raises ``ModelError`` when the refinements form a cycle, which
-    ``validate`` also reports. Each leaf of the walk adds its sorted ids to
-    one list, which is sorted once; the configurations are built in order."""
+    sorted variant ids. Refuses when the unconstrained space exceeds the
+    budget. Each leaf of the walk adds its sorted ids to one list, which is
+    sorted once; the configurations are built in order."""
     choices, requires, roots = _search_space(plm, budget)
     found = [tuple(sorted(chosen.values())) for chosen in _leaves(choices, requires, roots)]
     found.sort()
@@ -175,9 +174,9 @@ def enumerate_valid(
 
 def count_valid(plm: ProductLineModel, budget: int | None = None) -> int:
     """``len(enumerate_valid(plm, budget))``, with the same refusals, but no
-    configuration is built. With no interaction between two variation points
-    the count is ``unconstrained_count``'s recurrence over the pruned
-    choices; otherwise it adds up the leaves of the walk."""
+    configuration is built. With no interaction the count is
+    ``unconstrained_count``'s recurrence over the pruned choices; otherwise
+    it adds up the leaves of the walk."""
     choices, requires, roots = _search_space(plm, budget)
     if requires:
         return sum(1 for _ in _leaves(choices, requires, roots))
@@ -186,13 +185,14 @@ def count_valid(plm: ProductLineModel, budget: int | None = None) -> int:
 
 
 def _search_space(plm: ProductLineModel, budget: int | None):
-    """Refuse over the budget, then prune: variants that bind no activity when
-    any does, both ends of an interaction within one variation point, and
-    variants that activate a variation point left with nothing to try. Returns
-    the choices ``(variant, child vps)`` per reachable vp, children first; per
-    variant, what choosing it asks of another vp once that one has chosen too,
+    """Refuse an invalid model or one over the budget, then prune: variants
+    that bind no activity when any does, and variants that activate a
+    variation point left with nothing to try. Returns the choices
+    ``(variant, child vps)`` per reachable vp, children first; per variant,
+    what choosing it asks of another vp once that one has chosen too,
     ``(vp, variant, whether that variant must be its choice)``, which holds
     nothing over a vp that never becomes active; and the root ids."""
+    check_valid(plm._violations)
     if budget is None:
         budget = default_budget()
     vm = plm.vm
@@ -208,10 +208,6 @@ def _search_space(plm: ProductLineModel, budget: int | None):
     for edge in vm.variant_interactions:
         a, b = edge.from_id, edge.to_id
         vp_a, vp_b = index.vp_of[a], index.vp_of[b]
-        if vp_a == vp_b:
-            if a != b:
-                excluded.update((a, b))
-            continue
         for mine, vp_mine, theirs, vp_theirs in ((a, vp_a, b, vp_b), (b, vp_b, a, vp_a)):
             for variant_id in index.variants[vp_mine]:
                 requires[variant_id].append((vp_theirs, theirs, variant_id == mine))

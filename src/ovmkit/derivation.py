@@ -38,6 +38,7 @@ from .model import (
     Variant,
     _KEYS,
     check_product_includes,
+    check_valid,
 )
 
 _KEY = _KEYS[Interaction]
@@ -247,13 +248,14 @@ def map_layers(
     activity. By default parent edges are added for every bound
     refinement pair whether or not an interaction witnesses it; with
     ``strict`` they are only added from witnessed pairs. Re-adding an
-    existing edge is a no-op. This is one pass over a working state made
-    from ``plm``, materialised when the pass is done.
+    existing edge is a no-op. A model ``validate`` rejects is refused; on
+    another, this is one pass over a working state, materialised when done.
     """
     if upper is not lower and LAYER_ABOVE.get(lower) is not upper:
         raise DerivationError(
             f"cannot map from {lower.value!r} to {upper.value!r}: the upper layer must "
             f"be the same layer or exactly one layer above")
+    check_valid(plm._violations)
     lifting = _Lifting(plm)
     lifting.lift(lower, upper, strict)
     return lifting.materialise()

@@ -61,6 +61,7 @@ from .model import (
     VariationPoint,
     Variant,
     check_product_includes,
+    check_valid,
     validate,
 )
 from .reduction import MergeRecord, ReductionTrace
@@ -117,7 +118,7 @@ def load_document(data: bytes) -> ModelDocument:
 def parse_layered_model(data: bytes) -> tuple[LayeredModel, ProductSet | None]:
     """Parse a layered-model document; validates structure and references."""
     model, products = _LAYERED_DOCUMENT.read(_body(data, KIND_LAYERED), "body")
-    _check_valid(ProductLineModel(artifacts=model))
+    check_valid(validate(ProductLineModel(artifacts=model)), ParseError, "document")
     if products is not None:
         check_product_includes(model, products, ParseError)
     return model, products
@@ -136,7 +137,7 @@ def parse_variability_model(data: bytes) -> ProductLineModel:
             f"expected a {KIND_VARIABILITY} or {KIND_PRODUCT_LINE} document, got {doc.kind!r}")
     vm, bindings = _VARIABILITY.read(body, where)
     plm = ProductLineModel(vm=vm, artifacts=layered, bindings=bindings)
-    _check_valid(plm)
+    check_valid(validate(plm), ParseError, "document")
     return plm
 
 
@@ -195,14 +196,6 @@ def _body(data: bytes, kind: str) -> dict:
     if doc.kind != kind:
         raise ParseError(f"expected a {kind} document, got {doc.kind!r}")
     return doc.body
-
-
-def _check_valid(plm: ProductLineModel) -> None:
-    violations = validate(plm)
-    if violations:
-        head = "; ".join(str(v) for v in violations[:5])
-        more = f" (+{len(violations) - 5} more)" if len(violations) > 5 else ""
-        raise ParseError(f"document violates model invariants: {head}{more}")
 
 
 # -- codecs ------------------------------------------------------------------

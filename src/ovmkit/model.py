@@ -4,15 +4,16 @@ A layered model holds activities grouped into artifacts on up to three
 layers (feature above functional above component), cross-layer refinements,
 and material/information interactions. A variability model holds variation
 points, the variants realizing them, variant-level interactions, and the
-refinement edges that arrange variation points into a forest of trees, each
-under its first parent variant; ``_cyclic_vps`` is the one check for cycles.
+refinement edges that arrange variation points into a forest of trees.
 
 All types are immutable values. Collections are normalized (deduplicated,
 sorted by identifier) on construction, so structural equality is plain
 ``==`` and serialization order never depends on input order. Models also
 carry lookups (``_index``, a product-line model's ``_variant_of`` and a
-variability model's ``_links`` and ``_cyclic_vps``), each built on first use
-and never changed after.
+variability model's ``_links``) and their ``validate`` report (``_violations``),
+each built on first use and never changed after. Apart from ``validate`` and
+``roots``, the public functions that read a product-line or variability model
+refuse one with violations, through ``check_valid``.
 """
 
 from __future__ import annotations
@@ -270,20 +271,8 @@ class VariabilityModel:
         )
 
     @cached_property
-    def _cyclic_vps(self) -> tuple[str, ...]:
-        """Ascending ids of the declared variation points whose chain of first parents
-        enters a cycle rather than ending at a root or an unknown variant."""
-        parent, vp_of = self._index.parent, self._index.vp_of
-        cyclic: dict[str, bool | None] = {}  # None while on the current walk
-        for start in parent:
-            walk, cursor = [], start
-            while cursor in parent and cursor not in cyclic:
-                cyclic[cursor] = None
-                walk.append(cursor)
-                cursor = vp_of.get(parent[cursor])
-            # Ended at a root or unknown variant (False), a verdict, or this walk (None).
-            cyclic.update(dict.fromkeys(walk, cyclic.get(cursor, False) is not False))
-        return tuple(vp_id for vp_id in self._index.vps if cyclic.get(vp_id))
+    def _violations(self) -> tuple[Violation, ...]:
+        return tuple(_validate_vm(self))
 
     @cached_property
     def _links(self) -> SimpleNamespace:
@@ -332,6 +321,11 @@ class ProductLineModel:
         """Variant by activity, keeping the first of several."""
         return {b.source_id: b.target_id for b in reversed(self.activity_bindings())}
 
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        return (*_validate_layered(self.artifacts), *self.vm._violations,
+                *_validate_bindings(self))
+
     def _by_target(self) -> tuple[defaultdict, defaultdict]:
         """Fresh sets of activity ids by variant and of artifact ids by
         variation point, for ``_Index`` to change; not cached, as only it reads them."""
@@ -377,7 +371,6 @@ _KEYS = {cls: attrgetter(*(f.name for f in fields(cls))) for cls in (
 # whole key strictly ascending. Interactions and bindings repeat theirs.
 _LEADS = {cls: attrgetter(fields(cls)[0].name) for cls in (
     Activity, FunctionalArtifact, VariationPoint, Variant, VariabilityRefinement, Product)}
-_CYCLE = "variability refinements form a cycle through {!r}"
 
 
 def check_product_includes(
@@ -389,6 +382,14 @@ def check_product_includes(
         for activity_id in product.includes:
             if activity_id not in model._index.activities:
                 raise error(f"product {product.id!r} includes unknown activity {activity_id!r}")
+
+
+def check_valid(violations, error: type[ModelError] = ModelError, what: str = "model") -> None:
+    """Raise ``error`` naming the first five violations, then how many more."""
+    if violations:
+        head = "; ".join(map(str, violations[:5]))
+        more = f" (+{len(violations) - 5} more)" if len(violations) > 5 else ""
+        raise error(f"{what} violates model invariants: {head}{more}")
 
 
 def roots(vm: VariabilityModel) -> list[VariationPoint]:
@@ -403,6 +404,7 @@ def tree_size(vm: VariabilityModel, root_vp_id: str) -> int:
     (variation point to its variants) with refinement edges (variant to its
     child variation points).
     """
+    check_valid(vm._violations)
     vm.vp(root_vp_id)
     return len(tree_variants(vm._index, root_vp_id))
 
@@ -410,26 +412,18 @@ def tree_size(vm: VariabilityModel, root_vp_id: str) -> int:
 def tree_variants(index, root_vp_id: str) -> list[str]:
     """Ids of the variants in the tree rooted at the given variation point,
     from an index's variant ids by variation point and child variation points
-    by variant. Iterative, so any depth works; each variation point is visited
-    once, which also guards traversal on invalid (cyclic) inputs."""
-    found, seen, stack = [], set(), [root_vp_id]
+    by variant. Iterative, so any depth works."""
+    found, stack = [], [root_vp_id]
     while stack:
-        vp_id = stack.pop()
-        if vp_id not in seen:
-            seen.add(vp_id)
-            for v in index.variants.get(vp_id, ()):
-                found.append(v)
-                stack.extend(index.children.get(v, ()))
+        for v in index.variants.get(stack.pop(), ()):
+            found.append(v)
+            stack.extend(index.children.get(v, ()))
     return found
 
 
 def validate(plm: ProductLineModel) -> list[Violation]:
     """Check every structural invariant; an empty list means the model is valid."""
-    out: list[Violation] = []
-    out.extend(_validate_layered(plm.artifacts))
-    out.extend(_validate_vm(plm.vm))
-    out.extend(_validate_bindings(plm))
-    return out
+    return list(plm._violations)
 
 
 def _check_unique_ids(items, what: str, out: list[Violation]) -> None:
@@ -567,8 +561,20 @@ def _validate_vm(vm: VariabilityModel) -> list[Violation]:
                 "psi-single-parent", (ref.child_vp_id,),
                 f"variation point {ref.child_vp_id!r} has more than one parent variant"))
         seen.add(ref.child_vp_id)
-    out.extend(Violation("psi-forest-acyclicity", (vp_id,), _CYCLE.format(vp_id))
-               for vp_id in vm._cyclic_vps)
+    # Cyclic: a chain of first parents that enters a cycle, not a root or unknown variant.
+    parent, vp_of = vm._index.parent, vm._index.vp_of
+    cyclic: dict[str, bool | None] = {}  # None while on the current walk
+    for start in parent:
+        walk, cursor = [], start
+        while cursor in parent and cursor not in cyclic:
+            cyclic[cursor] = None
+            walk.append(cursor)
+            cursor = vp_of.get(parent[cursor])
+        # Ended at a root or unknown variant (False), a verdict, or this walk (None).
+        cyclic.update(dict.fromkeys(walk, cyclic.get(cursor, False) is not False))
+    out.extend(Violation("psi-forest-acyclicity", (vp_id,),
+                         f"variability refinements form a cycle through {vp_id!r}")
+               for vp_id in vps if cyclic.get(vp_id))
     return out
 
 

@@ -19,7 +19,8 @@ holding the ``Interaction`` objects, and undirected partner sets.
 returning the pairing or the witness of a refusal. The public checks read
 the model's frozen ``_links`` view. ``merge``, ``verify_trace`` and ``reduce``
 read one mutable working index (``_Index``) that each merge updates in
-place, and build the frozen model once, at the end.
+place, and build the frozen model once, at the end. The public functions
+refuse a model ``validate`` rejects, so every index read here is a forest.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .model import (
     VariabilityModel,
     VariabilityRefinement,
     VariationPoint,
-    _CYCLE,
     _link,
+    check_valid,
     roots,
     tree_size,
     tree_variants,
@@ -97,9 +98,7 @@ def _pairs(index, root_vp_id: str) -> list[tuple[str, str]]:
     for variant_id in sorted(tree_variants(index, root_vp_id)):
         here = vp_of[variant_id]
         for partner_id in sorted(index.partners.get(variant_id, ())):
-            there = vp_of.get(partner_id)
-            if there is None or there == here:
-                continue
+            there = vp_of[partner_id]
             key = (here, there) if here < there else (there, here)
             if key in seen:
                 continue
@@ -154,14 +153,11 @@ def _ancestor_variant(index, source: str, target: str) -> str | None:
     """The target variant above the source, when merging would fold it
     into the source and so make the source its own ancestor."""
     vp_id = source
-    for _ in range(len(index.parent)):  # bounded, should the input be cyclic
-        pv = index.parent.get(vp_id)
-        vp_id = index.vp_of.get(pv)
+    while (pv := index.parent.get(vp_id)) is not None:
+        vp_id = index.vp_of[pv]
         if vp_id == target:
             paired = any(index.vp_of.get(p) == source for p in index.partners.get(pv, ()))
             return pv if paired else None
-        if vp_id is None:
-            return None
     return None
 
 
@@ -169,10 +165,8 @@ class _Index:
     """Mutable copies of a product-line model's lookups, bindings by target and adjacency."""
 
     def __init__(self, plm: ProductLineModel) -> None:
+        check_valid(plm._violations)
         frozen = plm.vm._index
-        if cyclic := plm.vm._cyclic_vps:
-            raise ModelError(_CYCLE.format(cyclic[0]))
-        self.vps = frozen.vps  # the declared variation points, never changed
         self.vp_of, self.variants = dict(frozen.vp_of), dict(frozen.variants)
         self.parent = dict(frozen.parent)
         self.children = defaultdict(list, {v: list(c) for v, c in frozen.children.items()})
@@ -181,15 +175,15 @@ class _Index:
         self.activities, self.artifacts = plm._by_target()
 
     def root_of(self, vp_id: str) -> str:
-        """The top of the chain of parents: a root, or the last below an unknown variant."""
-        while (above := self.vp_of.get(self.parent.get(vp_id))) is not None:
-            vp_id = above
+        """The root at the top of the chain of parents."""
+        while (pv := self.parent.get(vp_id)) is not None:
+            vp_id = self.vp_of[pv]
         return vp_id
 
     def apply(self, source: str, target: str) -> MergeRecord:
         """Merge as ``merge`` does, refusing as it does."""
         for vp_id in (source, target):
-            if vp_id not in self.variants or vp_id not in self.vps:
+            if vp_id not in self.variants:
                 raise ModelError(f"unknown variation point id: {vp_id}")
         if source == target:
             raise ReductionError("cannot merge a variation point into itself")
@@ -241,7 +235,7 @@ class _Index:
         record = MergeRecord(
             source, target, tuple(sorted(pairing.items())), tuple(sorted(rebound)),
             tuple(sorted(moved_children)), tuple(sorted(moved_edges)))
-        return record, {vp_of[v] for v in changed if v in vp_of} | {source}
+        return record, {vp_of[v] for v in changed} | {source}
 
     def materialise(self, plm: ProductLineModel) -> ProductLineModel:
         vm = plm.vm
@@ -263,6 +257,7 @@ class _Index:
 
 def main_root(vm: VariabilityModel) -> VariationPoint:
     """The root whose tree holds the most variants; ties go to the smaller id."""
+    check_valid(vm._violations)
     candidates = roots(vm)
     if not candidates:
         raise ReductionError("model has no variation points")
@@ -281,6 +276,7 @@ def interacting_pairs(
     tree's side of the encounter is the source. Order is deterministic and
     duplicates are dropped.
     """
+    check_valid(vm._violations)
     return _pairs(vm._links, root_vp_id)
 
 
@@ -289,6 +285,7 @@ def check_completeness(
 ) -> bool:
     """True iff every target variant interacts, in either direction, with
     some source variant."""
+    check_valid(vm._violations)
     return _eligibility(vm._links, source_vp_id, target_vp_id)[0] != "completeness"
 
 
@@ -299,6 +296,7 @@ def check_uniqueness(
     between its endpoints and each target variant has exactly one source
     partner. A parallel edge or a detour through other variants both
     defeat uniqueness."""
+    check_valid(vm._violations)
     reason = _eligibility(vm._links, source_vp_id, target_vp_id)[0]
     return reason not in ("completeness", "partners", "path")
 
@@ -313,6 +311,7 @@ def forest_preserved(
     transferring the ancestor's subtrees would then create a refinement
     cycle. Such pairs are not eligible for merging.
     """
+    check_valid(vm._violations)
     return _ancestor_variant(vm._links, source_vp_id, target_vp_id) is None
 
 
@@ -322,12 +321,11 @@ def merge(
     """Merge the target variation point into the source.
 
     Refuses, naming the witness, unless completeness and uniqueness hold
-    and the refinements stay a forest; a model with a refinement cycle is
-    refused too. The target and its variants are removed; each activity
-    bound to a removed variant is rebound to that variant's source partner,
-    child variation points are re-parented the same way, and surviving
-    interactions are transferred with direction preserved (self-loops and
-    duplicates are dropped).
+    and the refinements stay a forest. The target and its variants are
+    removed; each activity bound to a removed variant is rebound to that
+    variant's source partner, child variation points are re-parented the
+    same way, and surviving interactions are transferred with direction
+    preserved (self-loops and duplicates are dropped).
     """
     index = _Index(plm)
     record = index.apply(source_vp_id, target_vp_id)
@@ -340,10 +338,12 @@ def verify_trace(
     """Check that the trace is how ``after`` was reduced from ``before``.
 
     Re-applies each recorded merge as ``merge`` would, on one index of
-    ``before``: each must give the same record, and the final model must
-    equal ``after``. Raises ``ModelError`` naming the first merge that differs.
+    ``before``: each must give the same record, the final model must equal
+    ``after``, and one pass must follow the last merge. Raises ``ModelError``
+    naming the first merge that differs.
     """
     index = _Index(before)
+    check_valid(after._violations)
     for i, record in enumerate(trace.merges):
         step = (f"trace merge {i} ({record.target_vp_id!r} into "
                 f"{record.source_vp_id!r})")
@@ -353,8 +353,10 @@ def verify_trace(
             raise ModelError(f"{step} does not replay: {exc}") from None
         if applied != record:
             raise ModelError(f"{step} replays to a different record")
-    if (index.materialise(before) if trace.merges else before) != after:
+    if index.materialise(before) != after:
         raise ModelError("replaying the trace on the model before does not give the model after")
+    if trace.pass_count != len(trace.merges) + 1:
+        raise ModelError(f"trace records {trace.pass_count} passes for {len(trace.merges)} merges")
 
 
 def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
@@ -364,7 +366,7 @@ def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
     tries their interacting pairs in order; the first eligible pair is
     merged and the pass restarts, since merging changes tree sizes and can
     enable or disable other merges. Terminates after at most one merge per
-    variation point. Refuses a model with a refinement cycle, as ``merge`` does.
+    variation point.
 
     A pass skips what the last merge cannot have changed. A merge changes
     the partners of the variants of a few variation points (``touched``),
@@ -424,6 +426,6 @@ def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
             tree_pairs.pop(root, None)
         partnered = {index.root_of(index.vp_of[p]) for vp_id in touched
                      for v in index.variants[vp_id] for p in index.partners[v]}
-        for root in (stale | partnered) & size.keys():
+        for root in stale | partnered:
             refused_upto.pop(root, None)
             heappush(heap, (-size[root], root))

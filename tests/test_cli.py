@@ -214,6 +214,20 @@ class TestReport:
         assert out == ""
         assert err.startswith("error: trace merge 0 ")
 
+    @pytest.mark.parametrize("pass_count", [0, 99])
+    def test_trace_with_another_pass_count_is_an_error(
+            self, capsys, tmp_path, engine_plm_path, pass_count):
+        doc = json.loads((GOLDEN_DIR / "engine-flat-trace.json").read_text())
+        assert doc["body"]["pass_count"] == 3
+        doc["body"]["pass_count"] = pass_count
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "report", str(engine_plm_path),
+            str(GOLDEN_DIR / "engine-flat-reduced.json"), "--trace", str(trace))
+        assert (code, out) == (1, "")
+        assert err == f"error: trace records {pass_count} passes for 2 merges\n"
+
     def test_identical_models_zero_percent(self, capsys, logistics_path):
         code, out, _ = run(
             capsys, "report", str(logistics_path), str(logistics_path),

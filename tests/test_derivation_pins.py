@@ -1,8 +1,8 @@
 """Exact results of ``diff`` and of the public ``map_layers`` on the inputs
 where they are easiest to get wrong: products that disagree only at the
 edges, a product-line model that already holds variant interactions and a
-refinement, an activity bound twice, and parent-edge conflicts whose
-message depends on the order in which a pass meets the edges."""
+refinement, the refusal of a model ``validate`` rejects, and parent-edge
+conflicts whose message depends on the order in which a pass meets the edges."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import pytest
 from ovmkit.derivation import DerivationError, diff, map_layers
 from ovmkit.model import (
     Activity,
+    ModelError,
     Binding,
     BindingKind,
     FunctionalArtifact,
@@ -106,17 +107,16 @@ def _plm(components, refinements, interactions, *, variant_interactions=(),
 class TestMapLayersOnAProductLineModel:
     """``ck`` (k1, k2 in group K) refines f1 and ``cl`` (l1 in group L)
     refines f2; the model already holds the variant interaction
-    v:k2 -> v:l1 and places vp:L under v:f2, and k1 is also bound to v:k2."""
+    v:k2 -> v:l1 and places vp:L under v:f2."""
 
     PLM = _plm([("k1", "ck", "K"), ("k2", "ck", "K"), ("l1", "cl", "L")],
                [("ck", "f1"), ("cl", "f2")], [("k1", "l1", MATERIAL)],
                variant_interactions=[("v:k2", "v:l1", INFORMATION)],
-               vm_refinements=[("vp:L", "v:f2")], extra_bindings=[("k1", "v:k2")])
+               vm_refinements=[("vp:L", "v:f2")])
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_lifts_onto_the_relations_already_there(self, strict):
         lifted = map_layers(self.PLM, COMP, FN, strict=strict)
-        # k1's first binding, v:k1, carries its interaction.
         assert lifted.vm.variant_interactions == (
             Interaction("v:k1", "v:l1", MATERIAL, InteractionLevel.VARIANT),
             Interaction("v:k2", "v:l1", INFORMATION, InteractionLevel.VARIANT))
@@ -134,6 +134,16 @@ class TestMapLayersOnAProductLineModel:
         lifted = map_layers(self.PLM, COMP, COMP)
         assert lifted.artifacts is self.PLM.artifacts
         assert lifted.vm.refinements == self.PLM.vm.refinements
+
+    @pytest.mark.parametrize("lower, upper", [(COMP, FN), (COMP, COMP)])
+    def test_an_activity_bound_twice_is_refused(self, lower, upper):
+        plm = _plm([("k1", "ck", "K"), ("k2", "ck", "K")], [("ck", "f1")],
+                   [("k1", "k2", MATERIAL)], extra_bindings=[("k1", "v:k2")])
+        with pytest.raises(ModelError) as exc:
+            map_layers(plm, lower, upper)
+        assert str(exc.value) == (
+            "model violates model invariants: binding-single-variant [k1]: "
+            "activity 'k1' is bound to more than one variant: 'v:k1', 'v:k2'")
 
     def test_an_existing_parent_edge_is_named_first(self):
         plm = _plm([("k1", "ck", "K"), ("l1", "cl", "L")], [("ck", "f1"), ("cl", "f2")],

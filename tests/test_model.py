@@ -259,9 +259,10 @@ class TestValidate:
         with pytest.raises(ModelError, match=r"binding-single-variant \[a2\]: activity 'a2'"):
             parse_variability_model(serialize(double))
 
-    def test_an_activity_bound_twice_reads_as_its_first_variant_everywhere(self):
-        """``validate`` rejects such a model, but one built directly still
-        gets a single answer: the variant of the first binding in order."""
+    def test_an_activity_bound_twice_reads_as_its_first_variant_and_is_refused(self):
+        """``validate`` rejects such a model. Its lookup still gives a single
+        answer, the variant of the first binding in order, and every entry
+        that reads the model refuses it."""
         from ovmkit.derivation import map_layers
         from ovmkit.model import (
             Activity, Binding, BindingKind, FunctionalArtifact, LayeredModel)
@@ -282,17 +283,18 @@ class TestValidate:
             Binding(BindingKind.ACTIVITY_VARIANT, "a1", "x1"),
         ))
         assert plm.variant_of_activity("a1") == "x1"
-        lifted = map_layers(plm, Layer.FUNCTIONAL, Layer.FUNCTIONAL)
-        assert lifted.vm.variant_interactions == (Interaction(
-            "x1", "z1", InteractionKind.MATERIAL, InteractionLevel.VARIANT),)
         cfg = Configuration(frozenset({"x1", "y1", "z1"}))
-        assert [v.subject_ids for v in validate_config(plm, cfg)
-                if v.invariant == "variant-unbound"] == [("y1",)]
+        for call in (lambda: map_layers(plm, Layer.FUNCTIONAL, Layer.FUNCTIONAL),
+                     lambda: validate_config(plm, cfg)):
+            with pytest.raises(ModelError, match=(
+                    r"^model violates model invariants: binding-single-variant \[a1\]: "
+                    "activity 'a1' is bound to more than one variant: 'x1', 'y1'$")):
+                call()
 
-    def test_a_variant_id_on_two_vps_sits_under_one_everywhere(self):
-        """``validate`` rejects such a model, but one built directly still
-        walks one hierarchy: variant 'a' sits under B, the last of the two,
-        so A, which refines 'a', sits under B and has no variant."""
+    def test_a_variant_id_on_two_vps_sits_under_one_and_is_refused(self):
+        """``validate`` rejects such a model. Its lookups still give one
+        hierarchy: variant 'a' sits under B, the last of the two, so A, which
+        refines 'a', sits under B and has no variant. The entries refuse it."""
         vm = VariabilityModel(
             variation_points=(vp("A"), vp("B")),
             variants=(variant("a", "A"), variant("a", "B")),
@@ -301,7 +303,12 @@ class TestValidate:
         assert [v.invariant for v in validate(ProductLineModel(vm=vm))] == ["unique-ids"]
         assert (vm.variants_of("A"), vm.variants_of("B")) == ((), (variant("a", "B"),))
         assert [root.id for root in roots(vm)] == ["B"]
-        assert (tree_size(vm, "B"), unconstrained_count(vm)) == (1, 0)
+        assert vm._index.children == {"a": ("A",)}
+        for call in (lambda: tree_size(vm, "B"), lambda: unconstrained_count(vm)):
+            with pytest.raises(ModelError, match=(
+                    r"^model violates model invariants: unique-ids \[a\]: "
+                    "duplicate variant id 'a'$")):
+                call()
 
     def test_same_vp_interaction_rejected(self):
         vm = VariabilityModel(

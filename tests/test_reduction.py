@@ -28,6 +28,7 @@ from ovmkit.model import (
 )
 from ovmkit.reduction import (
     ReductionError,
+    ReductionTrace,
     check_completeness,
     check_uniqueness,
     forest_preserved,
@@ -333,10 +334,9 @@ class TestReduce:
         # S merges into R; x1 then interacts with r1, so X's tree is touched.
         ((("r1", "s1"), ("r2", "s2"), ("x1", "s1")), "R", "S"),
     ])
-    def test_refinement_to_an_unknown_variant_reduces_as_merge_does(
-            self, interactions, source, target):
+    def test_refinement_to_an_unknown_variant_is_refused(self, interactions, source, target):
         # X refines 'ghost', which no variant is: validate rejects the model,
-        # and X's tree hangs below the unknown variant, out of every root's.
+        # and so do merge, reduce, verify_trace and the per-pair checks.
         plm = ProductLineModel(vm=VariabilityModel(
             variation_points=(vp("R"), vp("S"), vp("X")),
             variants=tuple(variant(f"{n}{i}", n.upper()) for n in "rsx" for i in (1, 2)),
@@ -344,11 +344,15 @@ class TestReduce:
             refinements=(VariabilityRefinement("X", "ghost"),),
         ))
         assert [v.invariant for v in validate(plm)] == ["psi-resolution"]
-        merged, record = merge(plm, source, target)
-        reduced, trace = reduce(plm)
-        assert trace.merges == (record,)
-        assert reduced == merged
-        verify_trace(plm, trace, reduced)
+        calls = (lambda: merge(plm, source, target), lambda: reduce(plm),
+                 lambda: verify_trace(plm, ReductionTrace(pass_count=1), plm),
+                 lambda: interacting_pairs(plm.vm, "X"),
+                 lambda: check_completeness(plm.vm, source, target))
+        for call in calls:
+            with pytest.raises(ModelError, match=(
+                    r"^model violates model invariants: psi-resolution \[X, ghost\]: "
+                    "variability refinement references unknown id 'ghost'$")):
+                call()
 
     def test_idempotent(self, engine_plm, logistics_plm):
         for plm in (engine_plm, logistics_plm):
@@ -359,16 +363,34 @@ class TestReduce:
 
 
 class TestVerifyTrace:
-    def test_accepts_the_empty_trace_of_a_model_with_two_parents(self):
-        # validate rejects the model; reduce finds no merge and returns it as it is.
+    def test_refuses_a_model_with_two_parents(self):
         plm = ProductLineModel(vm=VariabilityModel(
             variation_points=(vp("a"), vp("b"), vp("c")),
             variants=(variant("a1", "a"), variant("b1", "b")),
             refinements=(VariabilityRefinement("c", "a1"), VariabilityRefinement("c", "b1")),
         ))
-        reduced, trace = reduce(plm)
-        assert (reduced, trace.merges) == (plm, ())
-        verify_trace(plm, trace, reduced)
+        for call in (lambda: reduce(plm),
+                     lambda: verify_trace(plm, ReductionTrace(pass_count=1), plm)):
+            with pytest.raises(ModelError, match=(
+                    r"^model violates model invariants: psi-single-parent \[c\]: "
+                    "variation point 'c' has more than one parent variant$")):
+                call()
+
+    def test_refuses_an_invalid_model_after(self, engine_plm):
+        reduced, trace = reduce(engine_plm)
+        broken = replace(reduced, vm=replace(reduced.vm, refinements=(
+            VariabilityRefinement("pf", "ghost"),)))
+        with pytest.raises(ModelError, match="^model violates model invariants: psi-resolution"):
+            verify_trace(engine_plm, trace, broken)
+
+    @pytest.mark.parametrize("pass_count", [0, 2, 4, 99])
+    def test_rejects_a_pass_count_other_than_one_more_than_the_merges(
+            self, engine_plm, pass_count):
+        reduced, trace = reduce(engine_plm)
+        assert trace.pass_count == len(trace.merges) + 1 == 3
+        with pytest.raises(ModelError) as exc:
+            verify_trace(engine_plm, replace(trace, pass_count=pass_count), reduced)
+        assert str(exc.value) == f"trace records {pass_count} passes for 2 merges"
 
     def test_accepts_the_trace_of_the_reduction(self, engine_plm, logistics_plm):
         for plm in (engine_plm, logistics_plm):
