@@ -12,7 +12,9 @@ point and the variant bound to the parent activity.
 Lifting passes change one working state, ``_Lifting``, in place, and the
 frozen models are built once, at the end, from parts already in ascending
 order: ``map_layers`` is one pass over a fresh state, and
-``derive_initial_vm`` runs its three passes over one state.
+``derive_initial_vm`` runs its three passes over one state. Every entry
+refuses a model ``validate`` rejects, so a pass reads only refinement parents
+one layer up and interactions within one layer.
 """
 
 from __future__ import annotations
@@ -84,8 +86,9 @@ def diff(model: LayeredModel, products: ProductSet | None = None) -> DiffResult:
     activity is variable iff it is not mandatory. The group key is the
     activity's explicit group label when present, otherwise the parent
     activity its artifact refines; an ungroupable variable activity is an
-    error.
+    error. A model ``validate`` rejects is refused.
     """
+    check_valid(model._violations)
     if products is not None:
         check_product_includes(model, products, DerivationError)
         # With no products every activity is in all of them.
@@ -116,12 +119,18 @@ def diff(model: LayeredModel, products: ProductSet | None = None) -> DiffResult:
 
 
 def create_variation_points(difs: DiffResult, model: LayeredModel) -> ProductLineModel:
-    """One variation point per group, one variant and binding per variable activity."""
+    """One variation point per group, one variant and binding per variable
+    activity; a group naming an activity the model lacks is an error."""
+    check_valid(model._violations)
     activities = model.activities_by_id()
     vps: list[VariationPoint] = []
     members: list[tuple[str, str]] = []  # (activity id, variation point id)
     for group in difs.groups:
-        layers = {activities[a].layer for a in group.activity_ids}
+        try:
+            layers = {activities[a].layer for a in group.activity_ids}
+        except KeyError as exc:
+            raise DerivationError(
+                f"group {group.key!r} names unknown activity {exc.args[0]!r}") from None
         if len(layers) != 1:
             raise DerivationError(
                 f"group {group.key!r} spans several layers: "
@@ -157,27 +166,17 @@ class _Lifting:
         self.artifact_edges = set(map(_KEY, plm.artifacts.interactions))
         self.lifted: list[tuple] = []  # artifact interactions the input lacks
         self.edges: defaultdict[Layer, list[tuple]] = defaultdict(list)
-        # Per upper layer, the parents an activity's artifact refines there.
-        self.parents_in: defaultdict[Layer, dict[str, tuple[str, ...]]] = defaultdict(dict)
         for edge in map(_KEY, plm.artifacts.interactions):
             if edge[0] in bound and edge[1] in bound:
-                layer = activities[edge[0]].layer
-                if activities[edge[1]].layer is layer:
-                    self.edges[layer].append(edge)
+                self.edges[activities[edge[0]].layer].append(edge)
 
     def lift(self, lower: Layer, upper: Layer, strict: bool) -> None:
         """One pass of ``map_layers`` from ``lower`` to ``upper``, a legal pair."""
         activities, bound, vp_of, parents = self.activities, self.bound, self.vp_of, self.parents
-        refinement_parents = self.plm.artifacts.refinement_parents
-        known = self.parents_in[upper]
+        refined = self.plm.artifacts._index.parents
 
         def upper_parents(activity_id: str) -> tuple[str, ...]:
-            found = known.get(activity_id)
-            if found is None:
-                found = known[activity_id] = tuple(
-                    p for p in refinement_parents(activities[activity_id].artifact_id)
-                    if p in activities and activities[p].layer is upper)
-            return found
+            return refined.get(activities[activity_id].artifact_id, ())
 
         def add_parent_edge(child_vp: str, parent_variant: str) -> None:
             existing = parents.setdefault(child_vp, parent_variant)

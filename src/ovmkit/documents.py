@@ -33,7 +33,7 @@ import json
 import re
 from dataclasses import dataclass, fields
 from functools import cache, partial
-from itertools import chain, compress, groupby, repeat
+from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring as _escape
 from operator import attrgetter, is_not, itemgetter
 from types import SimpleNamespace
@@ -287,15 +287,6 @@ def _pairing_text(pairing, pad: str) -> str:
                         pad)
 
 
-def _group(obj: dict, where: str, key: str) -> str:
-    """An activity's group label; the ``mandatory`` row is read before it."""
-    group = _string(obj, where, key)
-    if obj["mandatory"]:
-        raise ParseError(
-            f"{where}: mandatory activity {obj.get('id')!r} cannot carry a group label")
-    return group
-
-
 def _enum(enum_cls) -> _Codec:
     allowed = ", ".join(e.value for e in enum_cls)
     members = {e.value: e for e in enum_cls}
@@ -348,11 +339,10 @@ class _Table:
     default=_REQUIRED)`` in reading order. An attribute is a name, a tuple
     position (``make`` is ``tuple``; rows in position order), or a dotted
     path into the written record whose last name is the keyword ``make`` gets.
-    ``check`` is a rule across fields, run on the records a column read makes.
     The writer keeps the rows in key order, in one template per pad it is
     asked for, made on first use."""
 
-    def __init__(self, make, *rows, check=None):
+    def __init__(self, make, *rows):
         rows = [row + (_STRING, _REQUIRED)[len(row) - 2:] for row in rows]
         self.make = (lambda **fields: tuple(fields.values())) if make is tuple else make
         self.keys = frozenset(row[0] for row in rows)
@@ -360,7 +350,7 @@ class _Table:
             (key, key if isinstance(attr, int) else attr.rpartition(".")[2],
              codec.read if default is _REQUIRED else _or_default(codec.read, default))
             for key, attr, codec, default in rows)
-        self.check, self.sources = check, ()
+        self.sources = ()
         if all(codec.column for _, _, codec, _ in rows):  # per field of ``make``, in order
             source = {attr: partial(_field, key, codec.column, default)
                       for key, attr, codec, default in rows}
@@ -387,8 +377,7 @@ class _Table:
         columns = [source(items) for source in self.sources]
         if None in columns:
             return None
-        records = tuple(self.build(*columns))
-        return records if self.check is None or self.check(records) else None
+        return tuple(self.build(*columns))
 
     def text(self, record, pad: str) -> str:
         """The record's text on a line that starts with ``pad``."""
@@ -472,10 +461,8 @@ class _Bindings:
 _ACTIVITY = _Table(
     Activity,
     ("mandatory", "mandatory", _BOOLEAN),
-    ("group", "group", _STRING._replace(read=_group), None),
-    ("id", "id"), ("name", "name"), ("layer", "layer", _LAYER), ("artifact", "artifact_id"),
-    check=lambda activities: not any(compress(  # ``_group``'s rule
-        map(attrgetter("group"), activities), map(attrgetter("mandatory"), activities))))
+    ("group", "group", _STRING, None),
+    ("id", "id"), ("name", "name"), ("layer", "layer", _LAYER), ("artifact", "artifact_id"))
 _ARTIFACT = _Table(
     FunctionalArtifact,
     ("id", "id"), ("layer", "layer", _LAYER), ("activities", "activity_ids", _STRINGS))

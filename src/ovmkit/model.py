@@ -12,8 +12,8 @@ sorted by identifier) on construction, so structural equality is plain
 carry lookups (``_index``, a product-line model's ``_variant_of`` and a
 variability model's ``_links``) and their ``validate`` report (``_violations``),
 each built on first use and never changed after. Apart from ``validate`` and
-``roots``, the public functions that read a product-line or variability model
-refuse one with violations, through ``check_valid``.
+``roots``, the public functions that read a model, layered or not, refuse one
+with violations, through ``check_valid``.
 """
 
 from __future__ import annotations
@@ -218,6 +218,10 @@ class LayeredModel:
             parents=_grouped((r.child_artifact_id, r.parent_activity_id) for r in self.refinements),
         )
 
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        return tuple(_validate_layered(self))
+
     def activity(self, activity_id: str) -> Activity:
         act = self._index.activities.get(activity_id)
         if act is None:
@@ -323,7 +327,7 @@ class ProductLineModel:
 
     @cached_property
     def _violations(self) -> tuple[Violation, ...]:
-        return (*_validate_layered(self.artifacts), *self.vm._violations,
+        return (*self.artifacts._violations, *self.vm._violations,
                 *_validate_bindings(self))
 
     def _by_target(self) -> tuple[defaultdict, defaultdict]:
@@ -443,6 +447,10 @@ def _validate_layered(model: LayeredModel) -> list[Violation]:
     activities = model.activities_by_id()
 
     for act in model.activities:
+        if act.mandatory and act.group is not None:
+            out.append(Violation(
+                "activity-mandatory-group", (act.id,),
+                f"mandatory activity {act.id!r} cannot carry a group label"))
         owner = artifacts.get(act.artifact_id)
         if owner is None:
             out.append(Violation(

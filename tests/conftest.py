@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import faulthandler
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,28 @@ from ovmkit import corpus_path
 from ovmkit.documents import parse_layered_model, parse_variability_model
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# Seconds one test may take before the run is stopped with every thread's
+# stack and exit code 1, so a test that hangs fails the run instead of
+# holding it. The slowest test takes under 10 s.
+LIMIT = 120
+STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # A copy made before output capture starts, so the stacks reach the terminal.
+    config.stash[STDERR] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[STDERR])
+
+
+@pytest.fixture(autouse=True)
+def _stop_a_hung_test(request):
+    faulthandler.dump_traceback_later(LIMIT, exit=True, file=request.config.stash[STDERR])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

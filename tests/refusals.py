@@ -12,8 +12,14 @@ from ovmkit.configs import (
     unconstrained_count,
     validate_config,
 )
-from ovmkit.derivation import map_layers
-from ovmkit.model import Layer, ProductLineModel, tree_size
+from ovmkit.derivation import (
+    DiffResult,
+    create_variation_points,
+    derive_initial_vm,
+    diff,
+    map_layers,
+)
+from ovmkit.model import Layer, LayeredModel, ProductLineModel, ProductSet, tree_size
 from ovmkit.reduction import (
     ReductionTrace,
     check_completeness,
@@ -43,6 +49,18 @@ def plm_entries(plm: ProductLineModel, a: str, b: str) -> dict:
         "enumerate_valid": lambda: enumerate_valid(plm),
         "count_valid": lambda: count_valid(plm),
         "validate_config": lambda: validate_config(plm, Configuration()),
+    }
+
+
+def layered_entries(model: LayeredModel, products: ProductSet) -> dict:
+    """A call of each derivation entry that takes a layered model, by name.
+    The model is refused before ``products`` is read."""
+    return {
+        "diff": lambda: diff(model),
+        "diff with products": lambda: diff(model, products),
+        "create_variation_points": lambda: create_variation_points(DiffResult(()), model),
+        "derive_initial_vm": lambda: derive_initial_vm(model, products),
+        "derive_initial_vm strict": lambda: derive_initial_vm(model, products, strict=True),
     }
 
 

@@ -141,8 +141,8 @@ NEGATIVE_ERRORS = {
     "layer-skip.json": "document violates model invariants: refinement-layer-adjacency "
     "[components, f1]: artifact 'components' (component) may only refine an activity "
     "one layer above, not 'f1' (feature)",
-    "mandatory-group.json": "body.activities[0]: mandatory activity 'a1' cannot carry a "
-    "group label",
+    "mandatory-group.json": "document violates model invariants: activity-mandatory-group "
+    "[a1]: mandatory activity 'a1' cannot carry a group label",
     "psi-cycle.json": "document violates model invariants: psi-forest-acyclicity [vp-a]: "
     "variability refinements form a cycle through 'vp-a'; psi-forest-acyclicity [vp-b]: "
     "variability refinements form a cycle through 'vp-b'",

@@ -1,14 +1,24 @@
-"""Exact results of ``diff`` and of the public ``map_layers`` on the inputs
-where they are easiest to get wrong: products that disagree only at the
-edges, a product-line model that already holds variant interactions and a
+"""Exact results of ``diff``, ``create_variation_points`` and the public
+``map_layers`` on the inputs where they are easiest to get wrong: products
+that disagree only at the edges, a group naming an activity the model lacks,
+a product-line model that already holds variant interactions and a
 refinement, the refusal of a model ``validate`` rejects, and parent-edge
 conflicts whose message depends on the order in which a pass meets the edges."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from ovmkit.derivation import DerivationError, diff, map_layers
+from ovmkit.derivation import (
+    DerivationError,
+    DiffGroup,
+    DiffResult,
+    create_variation_points,
+    diff,
+    map_layers,
+)
 from ovmkit.model import (
     Activity,
     ModelError,
@@ -55,11 +65,28 @@ class TestDiff:
         assert diff(ABC, products).activity_ids == {"c"}
 
     def test_a_mandatory_activity_some_product_omits_is_variable(self):
-        model = _flat(Activity("a", "A", FN, "fns", True, "G"),
-                      Activity("b", "B", FN, "fns", True, "G"))
-        products = ProductSet(products=(Product("p1", ("a", "b")), Product("p2", ("b",))))
+        """Mandatory activities carry no group label: ``a`` is grouped by
+        the feature its artifact refines."""
+        model = LayeredModel(
+            artifacts=(FunctionalArtifact("fns", FN, ("a", "b")),
+                       FunctionalArtifact("fts", Layer.FEATURE, ("top",))),
+            activities=(Activity("a", "A", FN, "fns", True), Activity("b", "B", FN, "fns", True),
+                        Activity("top", "Top", Layer.FEATURE, "fts", True)),
+            refinements=(Refinement("fns", "top", RefinementKind.FEATURE),))
+        products = ProductSet(products=(Product("p1", ("a", "b", "top")),
+                                        Product("p2", ("b", "top"))))
         assert diff(model).is_empty
-        assert diff(model, products).activity_ids == {"a"}
+        assert diff(model, products) == DiffResult((DiffGroup("top", ("a",)),))
+        grouped = replace(model, activities=(
+            Activity("a", "A", FN, "fns", True, "G"), Activity("b", "B", FN, "fns", True, "G"),
+            Activity("top", "Top", Layer.FEATURE, "fts", True)))
+        with pytest.raises(ModelError) as exc:
+            diff(grouped, products)
+        assert type(exc.value) is ModelError
+        assert str(exc.value) == (
+            "model violates model invariants: activity-mandatory-group [a]: mandatory "
+            "activity 'a' cannot carry a group label; activity-mandatory-group [b]: "
+            "mandatory activity 'b' cannot carry a group label")
 
     @pytest.mark.parametrize("products, message", [
         ((Product("p1", ("a", "nowhere")),),
@@ -71,6 +98,12 @@ class TestDiff:
         with pytest.raises(DerivationError) as exc:
             diff(ABC, ProductSet(products=products))
         assert str(exc.value) == message
+
+
+def test_a_group_naming_an_unknown_activity_is_refused():
+    with pytest.raises(DerivationError) as exc:
+        create_variation_points(DiffResult((DiffGroup("g", ("ghost",)),)), ABC)
+    assert str(exc.value) == "group 'g' names unknown activity 'ghost'"
 
 
 def _plm(components, refinements, interactions, *, variant_interactions=(),

@@ -5,7 +5,10 @@ items and gives up at the first doubt, reading the array again record by
 record to raise the error of its first fault. These tests put faults into
 the first, a middle and the last record of every kind of array and check
 that ``documents`` and the frozen ``reference_documents`` give the same
-outcome: equal values, or a ``ParseError`` with the same text. The fault
+outcome: equal values, or a ``ParseError`` with the same text. Two faults
+are carved out, each checked for its own text: junk in a trace sub-record,
+which the reference ignored, and a group label on a mandatory activity,
+which ``validate`` reports where the reference's reader did. The fault
 values include ``0``, ``1``, ``1.0``, ``true`` and ``false``, which Python
 equality mixes up (``True == 1``, ``0 == False``, ``1.0 == 1``), so the
 readers' checks by exact type are pinned here.
@@ -231,6 +234,15 @@ def test_one_faulty_record_gives_the_reference_outcome(parser, doc, path):
                 where = f"body.merges[{path[1]}].{path[2]}[{position}]"
                 assert _outcome(documents, parser, faulty_doc) == (
                     documents.ParseError, f"{where}: unknown field 'junk'"), label
+            elif label == "group on mandatory":
+                # The reference's reader refused this; here ``validate`` does.
+                assert _outcome(documents, parser, faulty_doc) == (
+                    documents.ParseError, "document violates model invariants: "
+                    f"activity-mandatory-group [{faulty['id']}]: mandatory activity "
+                    f"{faulty['id']!r} cannot carry a group label"), label
+                ungrouped = {key: value for key, value in faulty.items() if key != "group"}
+                _check_same(parser, _with(doc, path, position, ungrouped),
+                            f"[{position}] {label}, group removed")
             else:
                 _check_same(parser, faulty_doc, f"[{position}] {label}")
 

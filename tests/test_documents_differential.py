@@ -6,8 +6,8 @@ Every input goes through the four ``parse_*`` functions of both modules.
 Each pair must return equal values, or raise the same exception type with
 the same message, and a parsed value must serialize to the same bytes with
 both. Every failure must be a ``ParseError`` or ``ModelError``: any other
-exception escapes and fails the test. Two differences are allowed, both
-inputs that the reference accepted:
+exception escapes and fails the test. Three differences are allowed. Two
+are inputs that the reference accepted:
 - an unknown field inside a trace sub-record, which the reference ignored:
   there the test removes the field, checks that the reference did not care,
   and compares the two modules on what is left;
@@ -15,6 +15,12 @@ inputs that the reference accepted:
   string, which the reference parsed and then could not serialize: there
   the test replaces every surrogate with ``?`` and compares the two modules
   on that.
+
+The third is a group label on a mandatory activity. The reference's reader
+refused it while reading the activities; here ``validate`` reports it as
+``activity-mandatory-group``, after the whole document is read. There the
+test removes the group label of every mandatory activity and compares the
+two modules on what is left.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from hypothesis import strategies as st
 import reference_documents
 from conftest import GOLDEN_DIR
 from modelgen import random_layered, random_plm
-from ovmkit import corpus_dir, documents
+from ovmkit import corpus_dir, corpus_path, documents
 from ovmkit.derivation import derive_initial_vm
 from ovmkit.model import ModelError
 from ovmkit.reduction import reduce
@@ -50,6 +56,9 @@ SUBRECORD_JUNK = re.compile(
     r"\[(\d+)\]: unknown field (.+)")
 
 LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+MANDATORY_GROUP = re.compile(
+    r"body(\.layered)?\.activities\[\d+\]: mandatory activity .+ cannot carry a group label")
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=300, database=None)
 
@@ -102,6 +111,15 @@ def _check_parser(parser: str, data: bytes) -> None:
         assert _outcome(reference_documents, parser, stripped) == old
         _check_parser(parser, stripped)
         return
+    if new != old and old[0] is documents.ParseError and MANDATORY_GROUP.fullmatch(old[1]):
+        doc = _drop_mandatory_groups(json.loads(data))
+        assert doc != json.loads(data)
+        stripped = json.dumps(doc).encode()
+        if "activity-mandatory-group [" not in new[1]:
+            # A fault later in the document, which the reference never reached.
+            assert _outcome(documents, parser, stripped) == new
+        _check_parser(parser, stripped)
+        return
     if new != old and new[0] is documents.ParseError and "lone surrogate" in new[1]:
         doc = _replace_surrogates(json.loads(data))
         assert doc != json.loads(data)
@@ -119,6 +137,16 @@ def _replace_surrogates(value):
         return {_replace_surrogates(k): _replace_surrogates(v) for k, v in value.items()}
     if isinstance(value, list):
         return [_replace_surrogates(v) for v in value]
+    return value
+
+
+def _drop_mandatory_groups(value):
+    """``value`` without the ``group`` key of any object whose ``mandatory`` is true."""
+    if isinstance(value, dict):
+        return {k: _drop_mandatory_groups(v) for k, v in value.items()
+                if not (k == "group" and value.get("mandatory") is True)}
+    if isinstance(value, list):
+        return [_drop_mandatory_groups(v) for v in value]
     return value
 
 
@@ -205,6 +233,21 @@ def test_lone_surrogates_are_the_other_difference(logistics_path):
         reference_documents.serialize(accepted)
     with pytest.raises(documents.ParseError, match=r"body\.variants\[0\]\.name"):
         documents.parse_variability_model(data)
+    check_parsers_agree(data)
+
+
+def test_a_group_on_a_mandatory_activity_is_refused_by_validate():
+    data = corpus_path("negative", "mandatory-group.json").read_bytes()
+    assert _outcome(reference_documents, "parse_layered_model", data) == (
+        documents.ParseError,
+        "body.activities[0]: mandatory activity 'a1' cannot carry a group label")
+    assert _outcome(documents, "parse_layered_model", data) == (
+        documents.ParseError,
+        "document violates model invariants: activity-mandatory-group [a1]: "
+        "mandatory activity 'a1' cannot carry a group label")
+    ungrouped = json.dumps(_drop_mandatory_groups(json.loads(data))).encode()
+    assert _outcome(documents, "parse_layered_model", ungrouped)[0] == "ok"
+    check_parsers_agree(ungrouped)
     check_parsers_agree(data)
 
 

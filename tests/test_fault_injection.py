@@ -7,7 +7,9 @@ the records it needs whatever was drawn. A fault adds records so that
 ``validate`` reports its label. Each entry then raises ``ModelError``, no
 subclass and no other exception, with the text of ``refusals.refusal_text``.
 The entries that take only a variability model check only its part, so they
-are held to this for the faults planted there.
+are held to this for the faults planted there. The derivation entries take
+only a layered model: they are held to it for the faults planted in the
+layered part of a ``random_layered`` draw.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modelgen import random_plm
+from modelgen import random_layered, random_plm
+from ovmkit.derivation import derive_initial_vm
 from ovmkit.model import (
     Activity,
     Binding,
@@ -28,8 +31,11 @@ from ovmkit.model import (
     InteractionKind,
     InteractionLevel,
     Layer,
+    LayeredModel,
     ModelError,
+    Product,
     ProductLineModel,
+    ProductSet,
     Refinement,
     RefinementKind,
     VariabilityRefinement,
@@ -37,7 +43,7 @@ from ovmkit.model import (
     Variant,
     validate,
 )
-from refusals import plm_entries, refusal_text, vm_entries
+from refusals import layered_entries, plm_entries, refusal_text, vm_entries
 
 FEATURE, FUNCTIONAL, COMPONENT = Layer.FEATURE, Layer.FUNCTIONAL, Layer.COMPONENT
 ACTIVITY_VARIANT, ARTIFACT_VP = BindingKind.ACTIVITY_VARIANT, BindingKind.ARTIFACT_VP
@@ -48,12 +54,21 @@ LABELS = {
     "interaction-resolution", "interaction-same-layer", "delta-consistency",
     "interaction-distinct-vps", "psi-resolution", "psi-single-parent",
     "psi-forest-acyclicity", "binding-resolution", "binding-single-variant",
-    "binding-theta-consistency",
+    "binding-theta-consistency", "activity-mandatory-group",
 }
+LAYERED_LABELS = {
+    "unique-ids", "activity-mandatory-group", "activity-artifact-resolution",
+    "activity-layer-match", "artifact-membership", "refinement-resolution",
+    "refinement-layer-adjacency", "refinement-kind", "interaction-distinct-endpoints",
+    "interaction-level", "interaction-resolution", "interaction-same-layer",
+}
+# Names an unknown activity, so a product check made before the refusal shows.
+UNKNOWN_PRODUCT = ProductSet((Product("zz-prod", ("zz-unknown",)),))
 
 
 def activity(act_id: str, layer: Layer, artifact_id: str) -> Activity:
-    return Activity(act_id, act_id.upper(), layer, artifact_id, False)
+    """A variable activity, grouped by its layer so that derivation can place it."""
+    return Activity(act_id, act_id.upper(), layer, artifact_id, False, f"zz-{layer.value}")
 
 
 def flow(a: str, b: str, level: InteractionLevel) -> Interaction:
@@ -104,60 +119,63 @@ def some_variant(rng: random.Random, plm: ProductLineModel) -> str:
     return rng.choice(drawn) if drawn else "zz-p2"
 
 
-# (label, whether it is planted in the variability model, fault)
+# (label, the part it is planted in: "layered", "vm" or "bindings", fault)
 FAULTS = (
-    ("unique-ids", False, lambda rng, plm: add(
+    ("unique-ids", "layered", lambda rng, plm: add(
         plm, activities=[Activity("zz-f1", "Twin", FEATURE, "zz-f", False)])),
-    ("unique-ids", True, lambda rng, plm: add(
+    ("unique-ids", "vm", lambda rng, plm: add(
         plm, variants=[Variant("zz-q1", "Twin", "zz-Q")])),
-    ("activity-artifact-resolution", False, lambda rng, plm: add(
+    ("activity-artifact-resolution", "layered", lambda rng, plm: add(
         plm, activities=[activity("zz-x", FEATURE, "zz-nowhere")])),
-    ("activity-layer-match", False, lambda rng, plm: add(
+    ("activity-layer-match", "layered", lambda rng, plm: add(
         plm, artifacts=[FunctionalArtifact("zz-m", FEATURE, ("zz-x",))],
         activities=[activity("zz-x", FUNCTIONAL, "zz-m")])),
-    ("artifact-membership", False, lambda rng, plm: add(
+    ("artifact-membership", "layered", lambda rng, plm: add(
         plm, artifacts=[FunctionalArtifact("zz-m", FEATURE, ("zz-f1",))])),
-    ("refinement-resolution", False, lambda rng, plm: add(
+    ("refinement-resolution", "layered", lambda rng, plm: add(
         plm, refinements=[Refinement("zz-n", "zz-nowhere", RefinementKind.FEATURE)])),
-    ("refinement-layer-adjacency", False, lambda rng, plm: add(
+    ("refinement-layer-adjacency", "layered", lambda rng, plm: add(
         plm, artifacts=[FunctionalArtifact("zz-c", COMPONENT, ("zz-c1",))],
         activities=[activity("zz-c1", COMPONENT, "zz-c")],
         refinements=[Refinement("zz-c", "zz-f1", RefinementKind.FEATURE)])),
-    ("refinement-kind", False, lambda rng, plm: add(
+    ("refinement-kind", "layered", lambda rng, plm: add(
         plm, refinements=[Refinement("zz-n", "zz-f1", RefinementKind.FUNCTIONAL)])),
-    ("interaction-distinct-endpoints", False, lambda rng, plm: add(
+    ("interaction-distinct-endpoints", "layered", lambda rng, plm: add(
         plm, interactions=[flow("zz-f1", "zz-f1", InteractionLevel.ARTIFACT)])),
-    ("interaction-distinct-endpoints", True, lambda rng, plm: add(
+    ("interaction-distinct-endpoints", "vm", lambda rng, plm: add(
         plm, variant_interactions=[flow("zz-q1", "zz-q1", InteractionLevel.VARIANT)])),
-    ("interaction-level", False, lambda rng, plm: add(
+    ("interaction-level", "layered", lambda rng, plm: add(
         plm, interactions=[flow("zz-f1", "zz-f2", InteractionLevel.VARIANT)])),
-    ("interaction-level", True, lambda rng, plm: add(
+    ("interaction-level", "vm", lambda rng, plm: add(
         plm, variant_interactions=[flow("zz-p1", "zz-q1", InteractionLevel.ARTIFACT)])),
-    ("interaction-resolution", False, lambda rng, plm: add(
+    ("interaction-resolution", "layered", lambda rng, plm: add(
         plm, interactions=[flow("zz-f1", "zz-ghost", InteractionLevel.ARTIFACT)])),
-    ("interaction-resolution", True, lambda rng, plm: add(
+    ("interaction-resolution", "vm", lambda rng, plm: add(
         plm, variant_interactions=[flow(some_variant(rng, plm), "zz-ghost",
                                         InteractionLevel.VARIANT)])),
-    ("interaction-same-layer", False, lambda rng, plm: add(
+    ("interaction-same-layer", "layered", lambda rng, plm: add(
         plm, interactions=[flow("zz-f1", "zz-n1", InteractionLevel.ARTIFACT)])),
-    ("delta-consistency", True, lambda rng, plm: add(
+    ("activity-mandatory-group", "layered", lambda rng, plm: add(
+        plm, artifacts=[FunctionalArtifact("zz-m", FEATURE, ("zz-m1",))],
+        activities=[Activity("zz-m1", "M1", FEATURE, "zz-m", True, "zz-g")])),
+    ("delta-consistency", "vm", lambda rng, plm: add(
         plm, variants=[Variant("zz-r1", "R1", "zz-nowhere")])),
-    ("interaction-distinct-vps", True, lambda rng, plm: add(
+    ("interaction-distinct-vps", "vm", lambda rng, plm: add(
         plm, variant_interactions=[flow("zz-p2", "zz-p1", InteractionLevel.VARIANT)])),
-    ("psi-resolution", True, lambda rng, plm: add(
+    ("psi-resolution", "vm", lambda rng, plm: add(
         plm, vm_refinements=[VariabilityRefinement("zz-Q", "zz-ghost")])),
-    ("psi-single-parent", True, lambda rng, plm: add(
+    ("psi-single-parent", "vm", lambda rng, plm: add(
         plm, vm_refinements=[VariabilityRefinement("zz-Q", "zz-p1"),
                              VariabilityRefinement("zz-Q", some_variant(rng, plm))])),
-    ("psi-forest-acyclicity", True, lambda rng, plm: add(
+    ("psi-forest-acyclicity", "vm", lambda rng, plm: add(
         plm, vm_refinements=[VariabilityRefinement("zz-P", "zz-q1"),
                              VariabilityRefinement("zz-Q", "zz-p1")])),
-    ("binding-resolution", False, lambda rng, plm: add(
+    ("binding-resolution", "bindings", lambda rng, plm: add(
         plm, bindings=[Binding(ACTIVITY_VARIANT, "zz-f1", "zz-ghost")])),
-    ("binding-single-variant", False, lambda rng, plm: add(
+    ("binding-single-variant", "bindings", lambda rng, plm: add(
         plm, bindings=[Binding(ACTIVITY_VARIANT, "zz-f1", "zz-q1"),
                        Binding(ACTIVITY_VARIANT, "zz-f1", some_variant(rng, plm))])),
-    ("binding-theta-consistency", False, lambda rng, plm: add(
+    ("binding-theta-consistency", "bindings", lambda rng, plm: add(
         plm, bindings=[Binding(ARTIFACT_VP, "zz-f", "zz-P"),
                        Binding(ACTIVITY_VARIANT, "zz-f1", "zz-q1")])),
 )
@@ -170,13 +188,31 @@ def faulty_model(seed: int, fault: int) -> ProductLineModel:
     return FAULTS[fault][2](rng, base)
 
 
+LAYERED_FAULTS = [i for i, (_, part, _) in enumerate(FAULTS) if part == "layered"]
+
+
+def faulty_layered(seed: int, fault: int) -> LayeredModel:
+    rng = random.Random(seed)
+    model, _ = random_layered(rng, label_all_difs=True, tangled=rng.random() < 0.5)
+    return FAULTS[fault][2](rng, with_fragment(ProductLineModel(artifacts=model))).artifacts
+
+
 def test_every_label_has_a_fault_that_plants_it():
     assert {label for label, _, _ in FAULTS} == LABELS
-    for i, (label, in_vm, _) in enumerate(FAULTS):
+    assert {FAULTS[i][0] for i in LAYERED_FAULTS} == LAYERED_LABELS
+    for i, (label, part, _) in enumerate(FAULTS):
         plm = faulty_model(i, i)
         violations = validate(plm)
         assert label in {v.invariant for v in violations}, label
-        assert bool(validate(ProductLineModel(vm=plm.vm))) == in_vm, label
+        assert bool(validate(ProductLineModel(vm=plm.vm))) == (part == "vm"), label
+        assert bool(validate(ProductLineModel(artifacts=plm.artifacts))) == (
+            part == "layered"), label
+    for i in LAYERED_FAULTS:
+        model = faulty_layered(i, i)
+        assert FAULTS[i][0] in {v.invariant for v in validate(ProductLineModel(artifacts=model))}
+    # Before a fault is planted, the draw derives.
+    derive_initial_vm(with_fragment(ProductLineModel(artifacts=random_layered(
+        random.Random(0), label_all_difs=True)[0])).artifacts)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
@@ -185,7 +221,7 @@ def test_every_entry_refuses_an_injected_fault(seed, fault):
     plm = faulty_model(seed, fault)
     violations = validate(plm)
     expected = {name: refusal_text(violations) for name in plm_entries(plm, "zz-P", "zz-Q")}
-    if FAULTS[fault][1]:
+    if FAULTS[fault][1] == "vm":
         vm_text = refusal_text(validate(ProductLineModel(vm=plm.vm)))
         expected |= dict.fromkeys(vm_entries(plm, "zz-P", "zz-Q"), vm_text)
     calls = plm_entries(plm, "zz-P", "zz-Q") | vm_entries(plm, "zz-P", "zz-Q")
@@ -194,4 +230,16 @@ def test_every_entry_refuses_an_injected_fault(seed, fault):
             calls[name]()
         assert type(exc.value) is ModelError, (name, exc.value)
         assert str(violations[0]) in str(exc.value), name
+        assert str(exc.value) == text, name
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(seed=st.integers(0, 10_000), fault=st.sampled_from(LAYERED_FAULTS))
+def test_every_derivation_entry_refuses_an_injected_layered_fault(seed, fault):
+    model = faulty_layered(seed, fault)
+    text = refusal_text(validate(ProductLineModel(artifacts=model)))
+    for name, call in layered_entries(model, UNKNOWN_PRODUCT).items():
+        with pytest.raises(Exception) as exc:
+            call()
+        assert type(exc.value) is ModelError, (name, exc.value)
         assert str(exc.value) == text, name
