@@ -120,11 +120,22 @@ def diff(model: LayeredModel, products: ProductSet | None = None) -> DiffResult:
 
 def create_variation_points(difs: DiffResult, model: LayeredModel) -> ProductLineModel:
     """One variation point per group, one variant and binding per variable
-    activity; a group naming an activity the model lacks is an error."""
+    activity. Refuses what ``diff`` never builds: first an empty group, a key
+    or an activity in two groups; then an unknown activity or several layers."""
     check_valid(model._violations)
+    keys, named = set(), {}  # named: activity id -> key of the group naming it
+    for group in difs.groups:
+        if not group.activity_ids:
+            raise DerivationError(f"group {group.key!r} names no activity")
+        if group.key in keys:
+            raise DerivationError(f"two groups have key {group.key!r}")
+        keys.add(group.key)
+        for a in group.activity_ids:
+            if named.setdefault(a, group.key) != group.key:
+                raise DerivationError(
+                    f"groups {named[a]!r} and {group.key!r} both name activity {a!r}")
     activities = model.activities_by_id()
     vps: list[VariationPoint] = []
-    members: list[tuple[str, str]] = []  # (activity id, variation point id)
     for group in difs.groups:
         try:
             layers = {activities[a].layer for a in group.activity_ids}
@@ -135,14 +146,12 @@ def create_variation_points(difs: DiffResult, model: LayeredModel) -> ProductLin
             raise DerivationError(
                 f"group {group.key!r} spans several layers: "
                 + ", ".join(sorted(layer.value for layer in layers)))
-        vp = VariationPoint(id=f"vp:{group.key}", name=group.key, level=layers.pop())
-        vps.append(vp)
-        members.extend((activity_id, vp.id) for activity_id in group.activity_ids)
+        vps.append(VariationPoint(id=f"vp:{group.key}", name=group.key, level=layers.pop()))
     # The groups ascend by key, and so do their variation points. By activity
     # id the variants and bindings ascend too, so the models take all as given.
-    members.sort()
+    members = sorted(named.items())
     vm = VariabilityModel(variation_points=tuple(vps), variants=tuple(
-        Variant(id=f"v:{a}", name=activities[a].name, vp_id=vp_id) for a, vp_id in members))
+        Variant(id=f"v:{a}", name=activities[a].name, vp_id=f"vp:{key}") for a, key in members))
     return ProductLineModel(vm=vm, artifacts=model, bindings=tuple(
         Binding(kind=BindingKind.ACTIVITY_VARIANT, source_id=a, target_id=f"v:{a}")
         for a, _ in members))

@@ -79,7 +79,7 @@ class Violation:
         return f"{self.invariant} [{', '.join(self.subject_ids)}]: {self.message}"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Activity:
     id: str
     name: str
@@ -89,7 +89,7 @@ class Activity:
     group: str | None = None
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class FunctionalArtifact:
     id: str
     layer: Layer
@@ -99,7 +99,7 @@ class FunctionalArtifact:
         object.__setattr__(self, "activity_ids", _sorted_unique(self.activity_ids))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Refinement:
     """A lower-layer artifact refining an activity one layer above it."""
 
@@ -108,7 +108,7 @@ class Refinement:
     kind: RefinementKind
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Interaction:
     """Directed material or information flow.
 
@@ -125,14 +125,14 @@ class Interaction:
     requires: bool = False
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class VariationPoint:
     id: str
     name: str
     level: Layer
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Variant:
     """One selectable option of a variation point.
 
@@ -145,7 +145,7 @@ class Variant:
     vp_id: str
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Binding:
     """Artifact dependency: activity-to-variant or artifact-to-variation-point."""
 
@@ -154,7 +154,7 @@ class Binding:
     target_id: str
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class VariabilityRefinement:
     """A variation point refining (sitting under) a higher-level variant."""
 
@@ -346,7 +346,7 @@ class ProductLineModel:
         return self._variant_of.get(activity_id)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Product:
     id: str
     includes: tuple[str, ...]
@@ -365,7 +365,7 @@ class ProductSet:
         _normalize(self, products=Product)
 
 
-# Sort key per record type: its fields in declaration order. A missing group
+# Each record type's only order: its fields in declaration order. A missing group
 # sorts as "", so twins that differ only there normalize and validate reports them.
 _KEYS = {cls: attrgetter(*(f.name for f in fields(cls))) for cls in (
     FunctionalArtifact, Refinement, Interaction, VariationPoint, Variant, Binding,

@@ -4,8 +4,9 @@ dependency between them is complete and unique.
 A pass identifies the trees in descending size order and, inside each tree,
 the pairs of variation points whose variants interact. In a pair the
 variation point with more realizing variants is the source and the other is
-the target; the target may be merged into the source when every target
-variant interacts with a source variant (completeness) and each of those
+the target, for ``reduce``, ``merge`` and ``verify_trace`` alike (``_oriented``).
+The target may be merged into the source when every target variant
+interacts with a source variant (completeness) and each of those
 interactions is the only directed path between its endpoints and pairs
 every target variant with exactly one source variant (uniqueness). Merging
 removes the target, rebinds its activities, re-parents its subtrees, and
@@ -38,6 +39,7 @@ from .model import (
     VariabilityModel,
     VariabilityRefinement,
     VariationPoint,
+    _KEYS,
     _link,
     check_valid,
     roots,
@@ -78,7 +80,7 @@ class ReductionTrace:
     pass_count: int = 0
 
 
-# The eligibility function's refusal reasons, and what a refused merge says.
+# Why a merge is refused (``_eligibility``'s reasons, then ``_oriented``'s), and what it says.
 _REFUSALS = {
     "completeness": "not every target variant interacts with the source: "
                     "{0!r} interacts with no source variant",
@@ -88,23 +90,26 @@ _REFUSALS = {
             "the edge {0!r} -> {1!r} has an alternative path",
     "forest": "transferring its subtrees would break the refinement forest: "
               "target variant {0!r} is an ancestor of the source",
+    "orientation": "reduce never picks it: the target has {0} variants and the source {1}",
 }
+
+
+def _oriented(index, source: str, target: str) -> bool:
+    """May ``reduce`` pick the pair this way round? A tie goes both ways."""
+    return 0 < len(index.variants[target]) <= len(index.variants[source])
 
 
 def _pairs(index, root_vp_id: str) -> list[tuple[str, str]]:
     """Pairs in the order ``interacting_pairs`` documents."""
-    vp_of, variants = index.vp_of, index.variants
     pairs, seen = [], set()
     for variant_id in sorted(tree_variants(index, root_vp_id)):
-        here = vp_of[variant_id]
+        here = index.vp_of[variant_id]
         for partner_id in sorted(index.partners.get(variant_id, ())):
-            there = vp_of[partner_id]
+            there = index.vp_of[partner_id]
             key = (here, there) if here < there else (there, here)
-            if key in seen:
-                continue
-            seen.add(key)
-            flip = len(variants[there]) > len(variants[here])
-            pairs.append((there, here) if flip else (here, there))
+            if key not in seen:
+                seen.add(key)
+                pairs.append((here, there) if _oriented(index, here, there) else (there, here))
     return pairs
 
 
@@ -127,7 +132,7 @@ def _eligibility(index, source: str, target: str):
     for tv, sv in pairing.items():
         between = [e for e in index.out.get(tv, ()) if e.to_id == sv]
         between += [e for e in index.inc.get(tv, ()) if e.from_id == sv]
-        for edge in sorted(between):
+        for edge in sorted(between, key=_KEYS[Interaction]):
             if _alternative_path(index, edge):
                 return "path", (edge.from_id, edge.to_id), None
     above = _ancestor_variant(index, source, target)
@@ -188,6 +193,8 @@ class _Index:
         if source == target:
             raise ReductionError("cannot merge a variation point into itself")
         reason, witness, pairing = _eligibility(self, source, target)
+        if reason is None and not _oriented(self, source, target):
+            reason, witness = "orientation", [len(self.variants[v]) for v in (target, source)]
         if reason is not None:
             raise ReductionError(
                 f"refusing to merge {target!r} into {source!r}: "
@@ -321,11 +328,12 @@ def merge(
     """Merge the target variation point into the source.
 
     Refuses, naming the witness, unless completeness and uniqueness hold
-    and the refinements stay a forest. The target and its variants are
-    removed; each activity bound to a removed variant is rebound to that
-    variant's source partner, child variation points are re-parented the
-    same way, and surviving interactions are transferred with direction
-    preserved (self-loops and duplicates are dropped).
+    and the refinements stay a forest, then any pair ``reduce`` never picks:
+    an empty target, or a source with fewer variants. The target and its
+    variants are removed; each activity bound to a removed variant is
+    rebound to that variant's source partner, child variation points are
+    re-parented the same way, and surviving interactions are transferred
+    with direction preserved (self-loops and duplicates are dropped).
     """
     index = _Index(plm)
     record = index.apply(source_vp_id, target_vp_id)
@@ -373,15 +381,15 @@ def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
     moves subtrees between two trees, and, folding variants together, can
     only add directed paths; so a refused pair stays refused unless it
     involves a touched variation point, or the forest check refused it and
-    its tree changed. Each tree keeps its pairs and how many leading ones
-    are known refused, and a pass visits only the trees not yet refused
-    throughout.
+    its tree changed. Each tree keeps its pairs, and a tree whose pairs are
+    all known refused is quiet: a pass skips it until a merge changes its
+    pairs or a pair's partners.
     """
     index = _Index(plm)
     size = {vp.id: len(tree_variants(index, vp.id)) for vp in roots(plm.vm)}
     heap = [(-n, root) for root, n in size.items()]  # entries of outdated size are skipped
     heapify(heap)
-    tree_pairs, refused_upto = {}, {}
+    tree_pairs, quiet = {}, set()
     # A refusal holds while both variation points keep the stamps it was
     # made at; a merge bumps the stamps of those it touches.
     refusals, stamp = {}, defaultdict(int)
@@ -389,25 +397,23 @@ def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
     while True:
         found = None
         while heap and not found:
-            entry = heappop(heap)
-            root = entry[1]
-            if size.get(root) != -entry[0]:
+            entry = negative_size, root = heappop(heap)
+            if size.get(root) != -negative_size or root in quiet:
                 continue
             if root not in tree_pairs:
                 tree_pairs[root] = _pairs(index, root)
-            pairs, i = tree_pairs[root], refused_upto.get(root, 0)
-            while i < len(pairs):
-                stamps = stamp[pairs[i][0]], stamp[pairs[i][1]]
-                if refusals.get(pairs[i]) != stamps:
-                    reason, _, pairing = _eligibility(index, *pairs[i])
+            for pair in tree_pairs[root]:
+                stamps = stamp[pair[0]], stamp[pair[1]]
+                if refusals.get(pair) != stamps:
+                    reason, _, pairing = _eligibility(index, *pair)
                     if reason is None:
-                        found = *pairs[i], pairing
+                        found = *pair, pairing
                         heappush(heap, entry)
                         break
                     if reason != "forest":
-                        refusals[pairs[i]] = stamps
-                i += 1
-            refused_upto[root] = i
+                        refusals[pair] = stamps
+            else:
+                quiet.add(root)
         if not found:
             trace = ReductionTrace(merges=tuple(merges), pass_count=len(merges) + 1)
             return (index.materialise(plm) if merges else plm), trace
@@ -427,5 +433,5 @@ def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
         partnered = {index.root_of(index.vp_of[p]) for vp_id in touched
                      for v in index.variants[vp_id] for p in index.partners[v]}
         for root in stale | partnered:
-            refused_upto.pop(root, None)
+            quiet.discard(root)
             heappush(heap, (-size[root], root))

@@ -75,6 +75,14 @@ class TestReduce:
         assert out.read_bytes() == (GOLDEN_DIR / "engine-flat-reduced.json").read_bytes()
         assert trace.read_bytes() == (GOLDEN_DIR / "engine-flat-trace.json").read_bytes()
 
+    def test_hierarchical_derived_matches_golden(self, capsys, tmp_path):
+        out, trace = tmp_path / "reduced.json", tmp_path / "trace.json"
+        code, _, _ = run(capsys, "reduce", "-i", str(GOLDEN_DIR / "hierarchical-derived.json"),
+                         "-o", str(out), "--trace", str(trace))
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "hierarchical-reduced.json").read_bytes()
+        assert trace.read_bytes() == (GOLDEN_DIR / "hierarchical-trace.json").read_bytes()
+
     def test_logistics_matches_golden(self, capsys, tmp_path, logistics_path):
         out, trace = tmp_path / "reduced.json", tmp_path / "trace.json"
         code, _, _ = run(capsys, "reduce", "-i", str(logistics_path),
@@ -169,6 +177,20 @@ class TestPipeline:
         assert result.stdout == expected
 
 
+# What ``report`` prints for the hierarchical goldens; the CI replays it too.
+HIERARCHICAL_TABLE = """\
+initial variation points: 10
+final variation points:   6
+reduction:                40%
+merged:                   vp:Channel Balancing into vp:Channel Arbitration
+merged:                   vp:Flow Sensing into vp:Flow Computation
+merged:                   vp:Pressure Filter into vp:Pressure Driver
+merged:                   vp:Fault Reporting into vp:Trend Logging
+unconstrained configs:    70 -> 15
+valid configs:            7 -> 7
+"""
+
+
 class TestReport:
     def test_engine_table(self, capsys, engine_plm_path):
         code, out, _ = run(
@@ -182,6 +204,14 @@ class TestReport:
         assert "sf into pf" in out and "ip into pf" in out
         assert "12 -> 3" in out
         assert "2 -> 3" in out
+
+    def test_hierarchical_trace_replays(self, capsys):
+        code, out, err = run(
+            capsys, "report", *(str(GOLDEN_DIR / f"hierarchical-{name}.json")
+                                for name in ("derived", "reduced")),
+            "--trace", str(GOLDEN_DIR / "hierarchical-trace.json"))
+        assert (code, err) == (0, "")
+        assert out == HIERARCHICAL_TABLE
 
     def test_logistics_json(self, capsys, logistics_path):
         code, out, _ = run(

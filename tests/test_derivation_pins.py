@@ -1,6 +1,6 @@
 """Exact results of ``diff``, ``create_variation_points`` and the public
 ``map_layers`` on the inputs where they are easiest to get wrong: products
-that disagree only at the edges, a group naming an activity the model lacks,
+that disagree only at the edges, groups ``diff`` never builds,
 a product-line model that already holds variant interactions and a
 refinement, the refusal of a model ``validate`` rejects, and parent-edge
 conflicts whose message depends on the order in which a pass meets the edges."""
@@ -104,6 +104,25 @@ def test_a_group_naming_an_unknown_activity_is_refused():
     with pytest.raises(DerivationError) as exc:
         create_variation_points(DiffResult((DiffGroup("g", ("ghost",)),)), ABC)
     assert str(exc.value) == "group 'g' names unknown activity 'ghost'"
+
+
+@pytest.mark.parametrize("groups, message", [
+    # Groups ``diff`` never builds are refused before any lookup: the ghost goes unread.
+    ((DiffGroup("g", ("a",)), DiffGroup("h", ())), "group 'h' names no activity"),
+    ((DiffGroup("g", ("a", "ghost")), DiffGroup("g", ("b",))), "two groups have key 'g'"),
+    ((DiffGroup("h", ("b", "c")), DiffGroup("g", ("a", "b", "ghost"))),
+     "groups 'g' and 'h' both name activity 'b'"),
+])
+def test_a_group_diff_never_builds_is_refused(groups, message):
+    with pytest.raises(DerivationError) as exc:
+        create_variation_points(DiffResult(groups), ABC)
+    assert str(exc.value) == message
+
+
+def test_an_activity_named_twice_by_one_group_gets_one_variant():
+    plm = create_variation_points(DiffResult((DiffGroup("g", ("b", "a", "b")),)), ABC)
+    assert plm.vm.variants == (Variant("v:a", "A", "vp:g"), Variant("v:b", "B", "vp:g"))
+    assert [b.source_id for b in plm.bindings] == ["a", "b"]
 
 
 def _plm(components, refinements, interactions, *, variant_interactions=(),

@@ -232,6 +232,18 @@ class TestValidate:
         violations = validate(crossed)
         assert [v.invariant for v in violations] == ["binding-theta-consistency"]
 
+    @pytest.mark.parametrize("artifact_id, vp_id, missing", [
+        ("ghost", "x", "ghost"), ("fns", "nowhere", "nowhere"), ("ghost", "nowhere", "ghost")])
+    def test_artifact_binding_to_an_unknown_id_is_refused(self, artifact_id, vp_id, missing):
+        from ovmkit.model import Binding, BindingKind, FunctionalArtifact, LayeredModel
+        plm = ProductLineModel(
+            vm=VariabilityModel(variation_points=(vp("x"),)),
+            artifacts=LayeredModel(artifacts=(FunctionalArtifact("fns", Layer.FUNCTIONAL, ()),)),
+            bindings=(Binding(BindingKind.ARTIFACT_VP, artifact_id, vp_id),))
+        assert [str(v) for v in validate(plm)] == [
+            f"binding-resolution [{artifact_id}, {vp_id}]: "
+            f"artifact binding references unknown id {missing!r}"]
+
     def test_activity_bound_to_two_variants_rejected(self):
         from ovmkit.model import (
             Activity, Binding, BindingKind, FunctionalArtifact, LayeredModel)
@@ -332,6 +344,14 @@ class TestNormalization:
         )
         violations = validate(ProductLineModel(artifacts=model))
         assert any(v.invariant == "unique-ids" for v in violations)
+
+    def test_records_order_only_by_their_sort_keys(self):
+        from ovmkit.model import Activity, _KEYS
+        plain = Activity("a1", "A1", Layer.FUNCTIONAL, "fns", False)
+        grouped = Activity("a1", "A1", Layer.FUNCTIONAL, "fns", False, group="G")
+        with pytest.raises(TypeError):
+            variant("x1", "x") < variant("x2", "x")
+        assert sorted((grouped, plain), key=_KEYS[Activity]) == [plain, grouped]
 
     def test_collections_are_sorted_and_deduplicated(self):
         a, b = variant("x1", "x"), variant("x2", "x")

@@ -27,6 +27,7 @@ from ovmkit.model import (
     validate,
 )
 from ovmkit.reduction import (
+    MergeRecord,
     ReductionError,
     ReductionTrace,
     check_completeness,
@@ -61,6 +62,12 @@ def two_vps_one_edge() -> VariabilityModel:
                   variant("b1", "vpb"), variant("b2", "vpb")),
         variant_interactions=(edge("a1", "b1"),),
     )
+
+
+def a_and_empty_e() -> ProductLineModel:
+    """Root ``a`` with two variants and root ``e`` with none."""
+    return ProductLineModel(vm=VariabilityModel(
+        variation_points=(vp("a"), vp("e")), variants=(variant("a1", "a"), variant("a2", "a"))))
 
 
 def with_extra_edge(plm: ProductLineModel, from_id: str, to_id: str) -> ProductLineModel:
@@ -285,6 +292,45 @@ class TestMerge:
         # The witness is the target variant without a partner.
         assert "'pf1'" in str(refused.value)
 
+    def test_refuses_a_variation_point_into_itself(self, engine_plm):
+        with pytest.raises(ReductionError) as refused:
+            merge(engine_plm, "pf", "pf")
+        assert str(refused.value) == "cannot merge a variation point into itself"
+
+    def test_refuses_a_target_without_variants(self):
+        # Completeness holds vacuously; merging would turn 0 valid configurations into 2.
+        plm = a_and_empty_e()
+        assert check_completeness(plm.vm, "a", "e") and check_uniqueness(plm.vm, "a", "e")
+        with pytest.raises(ReductionError) as refused:
+            merge(plm, "a", "e")
+        assert str(refused.value) == ("refusing to merge 'e' into 'a': reduce never picks it: "
+                                      "the target has 0 variants and the source 2")
+
+    def test_refuses_a_source_smaller_than_its_target(self):
+        # Complete and unique, but it would fold t1 and t2 into s1.
+        plm = ProductLineModel(vm=VariabilityModel(
+            variation_points=(vp("s"), vp("t")),
+            variants=(variant("s1", "s"), variant("s2", "s"),
+                      variant("t1", "t"), variant("t2", "t"), variant("t3", "t")),
+            variant_interactions=(edge("s1", "t1"), edge("s1", "t2"), edge("s2", "t3"))))
+        assert interacting_pairs(plm.vm, "s") == [("t", "s")]
+        with pytest.raises(ReductionError) as refused:
+            merge(plm, "s", "t")
+        assert str(refused.value) == ("refusing to merge 't' into 's': reduce never picks it: "
+                                      "the target has 3 variants and the source 2")
+        # The way reduce tries it, the eligibility refusal comes first.
+        with pytest.raises(ReductionError, match="'s1' interacts with both 't1' and 't2'"):
+            merge(plm, "t", "s")
+        assert reduce(plm) == (plm, ReductionTrace(pass_count=1))
+
+    def test_a_tie_merges_either_way(self):
+        plm = ProductLineModel(vm=with_extra_edge(
+            ProductLineModel(vm=two_vps_one_edge()), "a2", "b2").vm)
+        for source, target in (("vpa", "vpb"), ("vpb", "vpa")):
+            merged, record = merge(plm, source, target)
+            assert [p.id for p in merged.vm.variation_points] == [source]
+            assert len(record.variant_pairing) == 2
+
     def test_refuses_without_uniqueness(self, engine_plm):
         # Direct edges alongside the detours through the sensing variants
         # make the pair complete but not unique.
@@ -408,6 +454,17 @@ class TestVerifyTrace:
         tampered = replace(trace, merges=(first, replace(second, rebound_bindings=())))
         with pytest.raises(ModelError, match=r"trace merge 1 \('ip' into 'pf'\) replays to a different record"):
             verify_trace(engine_plm, tampered, reduced)
+
+    def test_rejects_a_merge_reduce_never_picks(self):
+        plm = a_and_empty_e()
+        after = ProductLineModel(vm=VariabilityModel(
+            variation_points=(vp("a"),), variants=plm.vm.variants))
+        trace = ReductionTrace(merges=(MergeRecord("a", "e", (), (), (), ()),), pass_count=2)
+        with pytest.raises(ModelError) as exc:
+            verify_trace(plm, trace, after)
+        assert str(exc.value) == (
+            "trace merge 0 ('e' into 'a') does not replay: refusing to merge 'e' into 'a': "
+            "reduce never picks it: the target has 0 variants and the source 2")
 
     def test_rejects_a_trace_that_stops_short(self, engine_plm):
         reduced, trace = reduce(engine_plm)

@@ -3,7 +3,10 @@
 For every generated model, ``ovmkit.reduction.reduce`` must give the same
 model bytes and the same trace bytes as ``reference_reduction.reduce``, the
 implementation it replaced, and the public checks and ``merge`` must decide
-every pair as the reference does. Each test reports every case that differs.
+every pair as the reference does. The one carve-out: ``merge`` refuses, with
+its own text, a pair ``reduce`` never picks (an empty target, or a source with
+fewer variants than the target), which the reference merges. Each test
+reports every case that differs.
 """
 
 from __future__ import annotations
@@ -50,11 +53,20 @@ def test_lifted_models():
     assert mismatches == []
 
 
-def _merge_outcome(module, plm, source, target):
+def _merge_outcome(module, plm, source, target, *, text=False):
     try:
         return module.merge(plm, source, target)
-    except ReductionError:
-        return "refused"
+    except ReductionError as exc:
+        return str(exc) if text else "refused"
+
+
+def _unpicked(vm, source, target) -> str | None:
+    """What ``merge`` says of a pair ``reduce`` never picks, else None."""
+    n_source, n_target = (sum(v.vp_id == vp_id for v in vm.variants) for vp_id in (source, target))
+    if 0 < n_target <= n_source:
+        return None
+    return (f"refusing to merge {target!r} into {source!r}: reduce never picks it: "
+            f"the target has {n_target} variants and the source {n_source}")
 
 
 def test_public_checks_and_merge_decide_every_pair_alike():
@@ -62,7 +74,7 @@ def test_public_checks_and_merge_decide_every_pair_alike():
               for seed in range(100)]
     models += [(f"lifted {seed}", derive_initial_vm(
         *random_layered(random.Random(seed), label_all_difs=True))) for seed in range(20)]
-    mismatches = []
+    mismatches, carved = [], {"empty target": 0, "smaller source": 0}
     for seed, plm in models:
         vm = plm.vm
         ids = [vp.id for vp in vm.variation_points]
@@ -74,7 +86,12 @@ def test_public_checks_and_merge_decide_every_pair_alike():
                 if (getattr(reduction, check)(vm, source, target)
                         != getattr(reference_reduction, check)(vm, source, target)):
                     mismatches.append((seed, check, source, target))
-            if (_merge_outcome(reduction, plm, source, target)
-                    != _merge_outcome(reference_reduction, plm, source, target)):
+            expected = _merge_outcome(reference_reduction, plm, source, target)
+            unpicked = expected != "refused" and _unpicked(vm, source, target)
+            if unpicked:
+                carved["empty target" if "target has 0 " in unpicked else "smaller source"] += 1
+                expected = unpicked
+            if _merge_outcome(reduction, plm, source, target, text=bool(unpicked)) != expected:
                 mismatches.append((seed, "merge", source, target))
     assert mismatches == []
+    assert carved == {"empty target": 250, "smaller source": 2}
