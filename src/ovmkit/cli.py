@@ -53,17 +53,20 @@ def build_report(
     before: ProductLineModel,
     after: ProductLineModel,
     trace: ReductionTrace | None,
-    budget: int,
+    budget: int | None,
 ) -> ReductionReport:
+    """Compare the models. Each is checked, and its space counted once, by
+    ``configs._counts`` under ``budget`` (``None``: ``default_budget()``);
+    a model over the budget gets no valid count."""
     initial = len(before.vm.variation_points)
     final = len(after.vm.variation_points)
     percentage = round(100 * (initial - final) / initial) if initial else 0
 
-    def valid_count(plm: ProductLineModel, unconstrained: int) -> int | None:
-        # Over the budget, count_valid would only count again and refuse.
-        if unconstrained > budget:
-            return None
-        return configspace.count_valid(plm, budget)
+    def counts(plm: ProductLineModel) -> tuple[int, int | None]:
+        try:
+            return configspace._counts(plm, budget)
+        except BudgetExceededError as exc:
+            return exc.unconstrained, None
 
     merges = None
     if trace is not None:
@@ -72,16 +75,16 @@ def build_report(
             raise ModelError(
                 f"trace lists {len(merges)} merges but the models differ by "
                 f"{initial - final} variation points")
-    unconstrained_before = configspace.unconstrained_count(before.vm)
-    unconstrained_after = configspace.unconstrained_count(after.vm)
+    unconstrained_before, valid_before = counts(before)
+    unconstrained_after, valid_after = counts(after)
     return ReductionReport(
         initial_vp_count=initial,
         final_vp_count=final,
         reduction_percentage=percentage,
         unconstrained_before=unconstrained_before,
         unconstrained_after=unconstrained_after,
-        valid_before=valid_count(before, unconstrained_before),
-        valid_after=valid_count(after, unconstrained_after),
+        valid_before=valid_before,
+        valid_after=valid_after,
         merges=merges,
     )
 
@@ -160,14 +163,6 @@ def _write(path: str, data: bytes) -> None:
         Path(path).write_bytes(data)
 
 
-def _budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        if args.budget <= 0:
-            raise ModelError("budget must be positive")
-        return args.budget
-    return configspace.default_budget()
-
-
 def _cmd_derive(args) -> int:
     model, products = documents.parse_layered_model(_read(args.input))
     plm = derive_initial_vm(model, products, strict=args.strict_alg1)
@@ -191,7 +186,7 @@ def _cmd_report(args) -> int:
     if args.trace:
         trace = documents.parse_trace(_read(args.trace))
         verify_trace(before, trace, after)
-    report = build_report(before, after, trace, _budget(args))
+    report = build_report(before, after, trace, args.budget)
 
     if args.format == "json":
         payload = {
@@ -230,7 +225,6 @@ def _cmd_report(args) -> int:
 
 def _cmd_configs(args) -> int:
     plm = documents.parse_variability_model(_read(args.input))
-    budget = _budget(args)
 
     if args.validate:
         cfg = documents.parse_configuration(_read(args.validate))
@@ -251,15 +245,14 @@ def _cmd_configs(args) -> int:
         return EXIT_MODEL_ERROR if violations else EXIT_OK
 
     if args.count:
-        unconstrained = configspace.unconstrained_count(plm.vm)
-        valid = configspace.count_valid(plm, budget)
+        unconstrained, valid = configspace._counts(plm, args.budget)
         if args.format == "json":
             _print_json({"unconstrained": str(unconstrained), "valid": str(valid)})
         else:
             print(f"{unconstrained} unconstrained, {valid} valid")
         return EXIT_OK
 
-    valid_configs = configspace.enumerate_valid(plm, budget)
+    valid_configs = configspace.enumerate_valid(plm, args.budget)
     if args.format == "json":
         _print_json({"configurations": [list(c.sorted_ids()) for c in valid_configs]})
     else:

@@ -10,6 +10,10 @@ together or not at all.
 over one mutable path, which cuts a branch as soon as it breaks one of them,
 serves ``enumerate_valid`` and ``count_valid``. Counting, enumeration and
 ``validate_config`` refuse a model that ``validate`` rejects.
+
+``_search_space`` alone resolves and checks the enumeration budget, and
+counts the unconstrained space once; ``_counts`` returns that count with the
+valid one, for ``configs --count`` and ``build_report``.
 """
 
 from __future__ import annotations
@@ -166,7 +170,7 @@ def enumerate_valid(
     sorted variant ids. Refuses when the unconstrained space exceeds the
     budget. Each leaf of the walk adds its sorted ids to one list, which is
     sorted once; the configurations are built in order."""
-    choices, requires, roots = _search_space(plm, budget)
+    _, choices, requires, roots = _search_space(plm, budget)
     found = [tuple(sorted(chosen.values())) for chosen in _leaves(choices, requires, roots)]
     found.sort()
     return list(map(Configuration, map(frozenset, found)))
@@ -174,20 +178,26 @@ def enumerate_valid(
 
 def count_valid(plm: ProductLineModel, budget: int | None = None) -> int:
     """``len(enumerate_valid(plm, budget))``, with the same refusals, but no
-    configuration is built. With no interaction the count is
-    ``unconstrained_count``'s recurrence over the pruned choices; otherwise
-    it adds up the leaves of the walk."""
-    choices, requires, roots = _search_space(plm, budget)
+    configuration is built."""
+    return _counts(plm, budget)[1]
+
+
+def _counts(plm: ProductLineModel, budget: int | None) -> tuple[int, int]:
+    """``(unconstrained, valid)``, with ``enumerate_valid``'s refusals. With
+    no interaction the valid count is ``unconstrained_count``'s recurrence
+    over the pruned choices; otherwise it adds up the leaves of the walk."""
+    unconstrained, choices, requires, roots = _search_space(plm, budget)
     if requires:
-        return sum(1 for _ in _leaves(choices, requires, roots))
+        return unconstrained, sum(1 for _ in _leaves(choices, requires, roots))
     ways = _ways(choices, choices.__getitem__)
-    return prod(ways[root] for root in roots)
+    return unconstrained, prod(ways[root] for root in roots)
 
 
 def _search_space(plm: ProductLineModel, budget: int | None):
-    """Refuse an invalid model or one over the budget, then prune: variants
-    that bind no activity when any does, and variants that activate a
-    variation point left with nothing to try. Returns the choices
+    """Refuse an invalid model, a non-positive budget, or a model over the
+    budget (``None`` is ``default_budget()``), then prune: variants that bind
+    no activity when any does, and variants that activate a variation point
+    left with nothing to try. Returns the unconstrained count; the choices
     ``(variant, child vps)`` per reachable vp, children first; per variant,
     what choosing it asks of another vp once that one has chosen too,
     ``(vp, variant, whether that variant must be its choice)``, which holds
@@ -195,6 +205,8 @@ def _search_space(plm: ProductLineModel, budget: int | None):
     check_valid(plm._violations)
     if budget is None:
         budget = default_budget()
+    elif budget <= 0:
+        raise ModelError("budget must be positive")
     vm = plm.vm
     count = unconstrained_count(vm)
     if count > budget:
@@ -216,7 +228,7 @@ def _search_space(plm: ProductLineModel, budget: int | None):
         options = ((v, index.children.get(v, ())) for v in index.variants.get(vp_id, ()))
         choices[vp_id] = [(v, children) for v, children in options
                           if v not in excluded and all(choices[c] for c in children)]
-    return choices, requires, [vp.id for vp in index.roots]
+    return count, choices, requires, [vp.id for vp in index.roots]
 
 
 def _leaves(choices, requires, pending: list[str]):

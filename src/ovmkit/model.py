@@ -222,12 +222,6 @@ class LayeredModel:
     def _violations(self) -> tuple[Violation, ...]:
         return tuple(_validate_layered(self))
 
-    def activity(self, activity_id: str) -> Activity:
-        act = self._index.activities.get(activity_id)
-        if act is None:
-            raise ModelError(f"unknown activity id: {activity_id}")
-        return act
-
     def activities_by_id(self) -> MappingProxyType[str, Activity]:
         return MappingProxyType(self._index.activities)
 

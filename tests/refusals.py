@@ -49,6 +49,7 @@ def plm_entries(plm: ProductLineModel, a: str, b: str) -> dict:
         "enumerate_valid": lambda: enumerate_valid(plm),
         "count_valid": lambda: count_valid(plm),
         "validate_config": lambda: validate_config(plm, Configuration()),
+        "build_report": lambda: build_report(plm, plm, None, 1),
     }
 
 
@@ -65,8 +66,7 @@ def layered_entries(model: LayeredModel, products: ProductSet) -> dict:
 
 
 def vm_entries(plm: ProductLineModel, a: str, b: str) -> dict:
-    """A call of each entry that checks only the variability model, by name.
-    ``build_report`` checks it through ``unconstrained_count``."""
+    """A call of each entry that checks only the variability model, by name."""
     vm = plm.vm
     return {
         "interacting_pairs": lambda: interacting_pairs(vm, a),
@@ -76,5 +76,4 @@ def vm_entries(plm: ProductLineModel, a: str, b: str) -> dict:
         "main_root": lambda: main_root(vm),
         "tree_size": lambda: tree_size(vm, a),
         "unconstrained_count": lambda: unconstrained_count(vm),
-        "build_report": lambda: build_report(plm, plm, None, 1),
     }

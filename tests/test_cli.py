@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,14 +17,34 @@ from modelgen import random_plm
 from ovmkit import configs, corpus_path
 from ovmkit.cli import ReductionReport, build_report, main
 from ovmkit.documents import serialize
-from ovmkit.model import Layer, ProductLineModel, VariabilityModel, VariationPoint, Variant
+from ovmkit.model import (
+    Binding,
+    BindingKind,
+    Layer,
+    ModelError,
+    ProductLineModel,
+    VariabilityModel,
+    VariationPoint,
+    Variant,
+    validate,
+)
 from ovmkit.reduction import reduce
+from refusals import refusal_text
 
 
 # Child interpreters import ovmkit from this checkout's src/, as pytest does.
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+
+
+def counted_calls(monkeypatch) -> list:
+    """The variability models ``configs.unconstrained_count`` is called on
+    from now until the test ends."""
+    calls, count = [], configs.unconstrained_count
+    monkeypatch.setattr(configs, "unconstrained_count",
+                        lambda vm: calls.append(vm) or count(vm))
+    return calls
 
 
 def run(capsys, *args):
@@ -266,18 +287,30 @@ class TestReport:
         payload = json.loads(out)
         assert payload["reduction_percentage"] == 0
 
-    @pytest.mark.parametrize("budget, counts, valid", [
-        (1, 2, (None, None)), (16, 3, (None, 16)), (32, 4, (16, 16))])
+    @pytest.mark.parametrize("budget, valid", [
+        (1, (None, None)), (16, (None, 16)), (32, (16, 16))])
     def test_each_unconstrained_space_is_counted_once_per_report(
-            self, monkeypatch, logistics_plm, budget, counts, valid):
-        # Only a model within the budget is enumerated, which counts it again.
+            self, monkeypatch, logistics_plm, budget, valid):
         reduced, trace = reduce(logistics_plm)
-        calls, count = [], configs.unconstrained_count
-        monkeypatch.setattr(configs, "unconstrained_count",
-                            lambda vm: calls.append(vm) or count(vm))
+        calls = counted_calls(monkeypatch)
         report = build_report(logistics_plm, reduced, trace, budget)
-        assert len(calls) == counts
+        assert len(calls) == 2
         assert report == ReductionReport(5, 4, 20, 32, 16, *valid, (("ble", "tir"),))
+
+    @pytest.mark.parametrize("budget", [1, 10**6])
+    def test_an_invalid_model_is_refused_at_every_budget(self, logistics_plm, budget):
+        # A binding to an unknown activity: only the whole-model check sees it.
+        bad = replace(logistics_plm, bindings=logistics_plm.bindings + (
+            Binding(BindingKind.ACTIVITY_VARIANT, "ghost", "v22"),))
+        with pytest.raises(Exception) as exc:
+            build_report(bad, bad, None, budget)
+        assert type(exc.value) is ModelError
+        assert str(exc.value) == refusal_text(validate(bad))
+
+    def test_a_negative_budget_exits_one(self, capsys, logistics_path):
+        code, out, err = run(capsys, "report", str(logistics_path), str(logistics_path),
+                             "--budget", "-1")
+        assert (code, out, err) == (1, "", "error: budget must be positive\n")
 
     def test_percentage_formula_holds(self, capsys, engine_plm_path, logistics_path):
         for before, after in [
@@ -379,6 +412,26 @@ class TestConfigs:
                            "--count", "--budget", "999999")
         assert code == 3
         assert "1000000" in err
+
+    def test_count_counts_the_unconstrained_space_once(self, capsys, monkeypatch,
+                                                        logistics_path):
+        calls = counted_calls(monkeypatch)
+        code, out, _ = run(capsys, "configs", "-i", str(logistics_path), "--count")
+        assert (code, out, len(calls)) == (0, "32 unconstrained, 16 valid\n", 1)
+
+    def test_count_refuses_a_zero_budget(self, capsys, engine_plm_path):
+        code, out, err = run(capsys, "configs", "-i", str(engine_plm_path),
+                             "--count", "--budget", "0")
+        assert (code, out, err) == (1, "", "error: budget must be positive\n")
+
+    @pytest.mark.parametrize("env, flags", [("lots", ()), ("10", ("--budget", "0"))])
+    def test_validate_reads_no_budget(self, capsys, monkeypatch, engine_plm_path,
+                                      env, flags):
+        monkeypatch.setenv("PLSE_BUDGET", env)
+        code, out, err = run(
+            capsys, "configs", "-i", str(engine_plm_path), *flags,
+            "--validate", str(corpus_path("configs", "engine-valid.json")))
+        assert (code, out, err) == (0, "configuration is valid\n", "")
 
 
 class TestUsage:

@@ -7,10 +7,12 @@ from dataclasses import replace
 
 import pytest
 
+from ovmkit.cli import build_report
 from ovmkit.configs import (
     BudgetExceededError,
     Configuration,
     active_vps,
+    count_valid,
     default_budget,
     enumerate_valid,
     unconstrained_count,
@@ -373,6 +375,16 @@ class TestBudgetDefault:
         assert default_budget() == 10**6
         monkeypatch.setenv("PLSE_BUDGET", "123")
         assert default_budget() == 123
+
+    @pytest.mark.parametrize("call", [
+        lambda plm: count_valid(plm, 0), lambda plm: enumerate_valid(plm, -1),
+        lambda plm: build_report(plm, plm, None, budget=0)],
+        ids=["count_valid", "enumerate_valid", "build_report"])
+    def test_a_non_positive_budget_is_refused(self, logistics_plm, call):
+        with pytest.raises(Exception) as exc:
+            call(logistics_plm)
+        assert type(exc.value) is ModelError
+        assert str(exc.value) == "budget must be positive"
 
     def test_env_rejects_garbage(self, monkeypatch):
         monkeypatch.setenv("PLSE_BUDGET", "lots")
