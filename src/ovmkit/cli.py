@@ -187,19 +187,13 @@ def _cmd_report(args) -> int:
         trace = documents.parse_trace(_read(args.trace))
         verify_trace(before, trace, after)
     report = build_report(before, after, trace, args.budget)
+    counts = {name: configspace._count_text(value) for name, value in vars(report).items()
+              if name.startswith(("unconstrained_", "valid_")) and value is not None}
 
     if args.format == "json":
-        payload = {
-            "initial_vp_count": report.initial_vp_count,
-            "final_vp_count": report.final_vp_count,
-            "reduction_percentage": report.reduction_percentage,
-            "unconstrained_before": str(report.unconstrained_before),
-            "unconstrained_after": str(report.unconstrained_after),
-        }
-        if report.valid_before is not None:
-            payload["valid_before"] = str(report.valid_before)
-        if report.valid_after is not None:
-            payload["valid_after"] = str(report.valid_after)
+        payload = {"initial_vp_count": report.initial_vp_count,
+                   "final_vp_count": report.final_vp_count,
+                   "reduction_percentage": report.reduction_percentage, **counts}
         if report.merges is not None:
             payload["merges"] = [
                 {"source": s, "target": t} for s, t in report.merges
@@ -215,11 +209,10 @@ def _cmd_report(args) -> int:
                     print(f"merged:                   {target} into {source}")
             else:
                 print("merged:                   none")
-        print(
-            f"unconstrained configs:    {report.unconstrained_before} -> "
-            f"{report.unconstrained_after}")
-        if report.valid_before is not None and report.valid_after is not None:
-            print(f"valid configs:            {report.valid_before} -> {report.valid_after}")
+        print(f"unconstrained configs:    {counts['unconstrained_before']} -> "
+              f"{counts['unconstrained_after']}")
+        if "valid_before" in counts and "valid_after" in counts:
+            print(f"valid configs:            {counts['valid_before']} -> {counts['valid_after']}")
     return EXIT_OK
 
 
@@ -245,9 +238,9 @@ def _cmd_configs(args) -> int:
         return EXIT_MODEL_ERROR if violations else EXIT_OK
 
     if args.count:
-        unconstrained, valid = configspace._counts(plm, args.budget)
+        unconstrained, valid = map(configspace._count_text, configspace._counts(plm, args.budget))
         if args.format == "json":
-            _print_json({"unconstrained": str(unconstrained), "valid": str(valid)})
+            _print_json({"unconstrained": unconstrained, "valid": valid})
         else:
             print(f"{unconstrained} unconstrained, {valid} valid")
         return EXIT_OK

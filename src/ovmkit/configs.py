@@ -35,13 +35,22 @@ DEFAULT_BUDGET = 10**6
 BUDGET_ENV_VAR = "PLSE_BUDGET"
 
 
+def _count_text(count: int) -> str:
+    """Every digit of the count: ``str`` refuses an int of over 4,300 of them."""
+    try:
+        return str(count)
+    except ValueError:
+        from decimal import Decimal
+        return str(Decimal(count))
+
+
 class BudgetExceededError(ModelError):
     """Enumeration would exceed the budget; carries the unconstrained count."""
 
     def __init__(self, unconstrained: int, budget: int):
         super().__init__(
-            f"enumeration budget exceeded: {unconstrained} unconstrained "
-            f"configurations (budget {budget})")
+            f"enumeration budget exceeded: {_count_text(unconstrained)} unconstrained "
+            f"configurations (budget {_count_text(budget)})")
         self.unconstrained = unconstrained
         self.budget = budget
 

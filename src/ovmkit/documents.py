@@ -1,10 +1,11 @@
 """Versioned JSON documents for models, configurations, and reduction traces.
 
-Each document is an envelope ``{"schema_version", "kind", "body"}``. Parsing
-is strict: unknown fields, unknown kinds, dangling references, and invariant
-violations are all rejected with an error naming the offending field, id, or
-byte position. Serialization is canonical: keys sorted, collections ordered
-by id, UTF-8, newline-terminated, so equal models produce equal bytes.
+Each document is an envelope ``{"schema_version", "kind", "body"}``, read by
+``_body`` for every parser. Parsing is strict: unknown fields, unknown kinds,
+dangling references, and invariant violations are all rejected with an error
+naming the offending field, id, or byte position, as is a number too long
+for ``int``. Serialization is canonical: keys sorted, collections ordered by
+id, UTF-8, newline-terminated, so equal models produce equal bytes.
 
 One field table per record shape, built at import, drives both directions: a
 row gives the JSON key, the attribute, the codec, and for an optional field
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from functools import cache, partial
 from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring as _escape
@@ -81,15 +82,9 @@ class ParseError(ModelError):
     """A document could not be parsed; the message names the offending spot."""
 
 
-@dataclass(frozen=True)
-class ModelDocument:
-    schema_version: str
-    kind: str
-    body: dict[str, Any]
-
-
-def load_document(data: bytes) -> ModelDocument:
-    """Decode the envelope and check version and kind."""
+def _body(data: bytes, *kinds: str) -> tuple[str, dict]:
+    """Decode a document, check its envelope, version and kind, and return
+    the kind, one of ``kinds``, with the body."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -100,6 +95,8 @@ def load_document(data: bytes) -> ModelDocument:
         raise ParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno} (byte {exc.pos})"
         ) from None
+    except ValueError:  # an int of more digits than ``int`` reads from text
+        raise ParseError("invalid JSON: a number has too many digits") from None
     except RecursionError:
         raise ParseError("invalid JSON: arrays and objects are nested too deeply") from None
     if "\\u" in text:  # only a \u escape can spell a lone surrogate
@@ -112,12 +109,15 @@ def load_document(data: bytes) -> ModelDocument:
     kind = _string(obj, "document", "kind")
     if kind not in _KNOWN_KINDS:
         raise ParseError(f"unknown document kind {kind!r}")
-    return ModelDocument(version, kind, _object(obj.get("body"), "body"))
+    body = _object(obj.get("body"), "body")
+    if kind not in kinds:
+        raise ParseError(f"expected a {' or '.join(kinds)} document, got {kind!r}")
+    return kind, body
 
 
 def parse_layered_model(data: bytes) -> tuple[LayeredModel, ProductSet | None]:
     """Parse a layered-model document; validates structure and references."""
-    model, products = _LAYERED_DOCUMENT.read(_body(data, KIND_LAYERED), "body")
+    model, products = _LAYERED_DOCUMENT.read(_body(data, KIND_LAYERED)[1], "body")
     check_valid(validate(ProductLineModel(artifacts=model)), ParseError, "document")
     if products is not None:
         check_product_includes(model, products, ParseError)
@@ -126,15 +126,12 @@ def parse_layered_model(data: bytes) -> tuple[LayeredModel, ProductSet | None]:
 
 def parse_variability_model(data: bytes) -> ProductLineModel:
     """Parse a variability-model or product-line-model document."""
-    doc = load_document(data)
-    layered, body, where = LayeredModel(), doc.body, "body"
-    if doc.kind == KIND_PRODUCT_LINE:
+    kind, body = _body(data, KIND_VARIABILITY, KIND_PRODUCT_LINE)
+    layered, where = LayeredModel(), "body"
+    if kind == KIND_PRODUCT_LINE:
         _reject_unknown(body, where, {"layered", "variability"})
         layered = _LAYERED.read(body.get("layered"), "body.layered")
         body, where = body.get("variability"), "body.variability"
-    elif doc.kind != KIND_VARIABILITY:
-        raise ParseError(
-            f"expected a {KIND_VARIABILITY} or {KIND_PRODUCT_LINE} document, got {doc.kind!r}")
     vm, bindings = _VARIABILITY.read(body, where)
     plm = ProductLineModel(vm=vm, artifacts=layered, bindings=bindings)
     check_valid(validate(plm), ParseError, "document")
@@ -142,11 +139,11 @@ def parse_variability_model(data: bytes) -> ProductLineModel:
 
 
 def parse_configuration(data: bytes) -> Configuration:
-    return _CONFIGURATION.read(_body(data, KIND_CONFIGURATION), "body")
+    return _CONFIGURATION.read(_body(data, KIND_CONFIGURATION)[1], "body")
 
 
 def parse_trace(data: bytes) -> ReductionTrace:
-    return _TRACE.read(_body(data, KIND_TRACE), "body")
+    return _TRACE.read(_body(data, KIND_TRACE)[1], "body")
 
 
 def serialize(model, *, products: ProductSet | None = None) -> bytes:
@@ -189,13 +186,6 @@ def _reject_lone_surrogates(raw) -> None:
                       for key, child in value.items()]
         elif isinstance(value, list):
             stack += [(f"{where}[{i}]", child) for i, child in enumerate(value)]
-
-
-def _body(data: bytes, kind: str) -> dict:
-    doc = load_document(data)
-    if doc.kind != kind:
-        raise ParseError(f"expected a {kind} document, got {doc.kind!r}")
-    return doc.body
 
 
 # -- codecs ------------------------------------------------------------------

@@ -274,7 +274,8 @@ class VariabilityModel:
 
     @cached_property
     def _links(self) -> SimpleNamespace:
-        """``_index`` plus each variant's out-edges, in-edges and partners."""
+        """``_index`` plus each variant's out- and in-edges and partners, of a valid model only."""
+        check_valid(self._violations)
         links = SimpleNamespace(**vars(self._index), out=defaultdict(set), inc=defaultdict(set),
                                 partners=defaultdict(set))
         _link(links, self.variant_interactions)

@@ -14,8 +14,9 @@ import pytest
 
 from conftest import GOLDEN_DIR
 from modelgen import random_plm
-from ovmkit import configs, corpus_path
+from ovmkit import configs, corpus_path, documents
 from ovmkit.cli import ReductionReport, build_report, main
+from ovmkit.configs import BudgetExceededError
 from ovmkit.documents import serialize
 from ovmkit.model import (
     Binding,
@@ -51,6 +52,27 @@ def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(*args, env=CHILD_ENV) -> subprocess.CompletedProcess:
+    """``python -S -m ovmkit`` in a child process: -S skips site-packages,
+    so an import of anything outside the standard library fails."""
+    return subprocess.run([sys.executable, "-S", "-m", "ovmkit", *args],
+                          capture_output=True, text=True, env=env)
+
+
+def grid_path(tmp_path, vps: int) -> Path:
+    """Root variation points of ten variants each, with no bindings and no
+    interactions: 10^vps selections, all valid."""
+    ids = [f"g{i:05d}" for i in range(vps)]
+    path = tmp_path / f"grid-{vps}.json"
+    path.write_bytes(serialize(ProductLineModel(vm=VariabilityModel(
+        variation_points=tuple(
+            VariationPoint(id=vp, name=vp.upper(), level=Layer.FEATURE) for vp in ids),
+        variants=tuple(
+            Variant(id=f"{vp}.{k}", name=f"{vp}.{k}", vp_id=vp)
+            for vp in ids for k in range(10))))))
+    return path
 
 
 class TestDerive:
@@ -128,13 +150,11 @@ class TestReduce:
     def test_deeply_nested_json_exits_one_without_traceback(self, tmp_path):
         deep = tmp_path / "deep.json"
         deep.write_bytes(b"[" * 100000 + b"]" * 100000)
-        result = subprocess.run(
-            [sys.executable, "-m", "ovmkit", "reduce", "-i", str(deep), "-o", "-"],
-            capture_output=True, env=CHILD_ENV)
+        result = run_child("reduce", "-i", str(deep), "-o", "-")
         assert result.returncode == 1
-        assert result.stdout == b""
-        assert result.stderr.startswith(b"error: ")
-        assert b"Traceback" not in result.stderr
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
 
 
     def test_lone_surrogate_exits_one_without_traceback(self, tmp_path, logistics_path):
@@ -142,12 +162,10 @@ class TestReduce:
         doc["body"]["variation_points"][1]["name"] = "x\ud800"
         bad = tmp_path / "surrogate.json"
         bad.write_text(json.dumps(doc))
-        result = subprocess.run(
-            [sys.executable, "-m", "ovmkit", "reduce", "-i", str(bad), "-o", "-"],
-            capture_output=True, env=CHILD_ENV)
+        result = run_child("reduce", "-i", str(bad), "-o", "-")
         assert result.returncode == 1
-        assert result.stdout == b""
-        assert result.stderr == b"error: body.variation_points[1].name holds a lone surrogate\n"
+        assert result.stdout == ""
+        assert result.stderr == "error: body.variation_points[1].name holds a lone surrogate\n"
 
     def test_activity_bound_to_two_variants_exits_one(self, capsys, tmp_path, engine_plm_path):
         doc = json.loads(engine_plm_path.read_bytes())
@@ -162,6 +180,33 @@ class TestReduce:
         assert out == ""
         assert err.startswith("error: ")
         assert f"binding-single-variant [{first['activity']}]" in err
+
+
+# Per document kind: a bundled document, and a command that reads it at BAD.
+OVER_LONG_NUMBER_RUNS = {
+    "layered-model": (corpus_path("engine-flat-layered.json"), ("derive", "-i", "BAD", "-o", "-")),
+    "variability-model": (corpus_path("logistics-vm.json"), ("reduce", "-i", "BAD", "-o", "-")),
+    "product-line-model": (corpus_path("engine-flat-plm.json"),
+                           ("configs", "-i", "BAD", "--count")),
+    "configuration": (corpus_path("configs", "engine-valid.json"), (
+        "configs", "-i", str(corpus_path("engine-flat-plm.json")), "--validate", "BAD")),
+    "reduction-trace": (GOLDEN_DIR / "engine-flat-trace.json", (
+        "report", str(corpus_path("engine-flat-plm.json")),
+        str(GOLDEN_DIR / "engine-flat-reduced.json"), "--trace", "BAD")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OVER_LONG_NUMBER_RUNS))
+def test_an_over_long_number_exits_one_without_traceback(tmp_path, kind):
+    # Python reads no int of over 4,300 digits from text.
+    path, args = OVER_LONG_NUMBER_RUNS[kind]
+    text = path.read_text()
+    assert json.loads(text)["kind"] == kind and text.count('"body": {') == 1
+    bad = tmp_path / "long.json"
+    bad.write_text(text.replace('"body": {', f'"body": {{"n": {"9" * 4301},'))
+    result = run_child(*[str(bad) if arg == "BAD" else arg for arg in args])
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "", "error: invalid JSON: a number has too many digits\n")
 
 
 NEGATIVE_ERRORS = {
@@ -188,9 +233,10 @@ def test_negative_corpus_exits_one_with_its_error(capsys, path):
 
 class TestPipeline:
     def test_derive_then_reduce_reproduces_goldens(self, engine_layered_path):
+        # On the standard library alone (-S), as ``run_child`` runs.
         pipeline = (
-            f"{sys.executable} -m ovmkit derive -i {engine_layered_path} -o - | "
-            f"{sys.executable} -m ovmkit reduce -i - -o -"
+            f"{sys.executable} -S -m ovmkit derive -i {engine_layered_path} -o - | "
+            f"{sys.executable} -S -m ovmkit reduce -i - -o -"
         )
         result = subprocess.run(
             pipeline, shell=True, capture_output=True, check=True, env=CHILD_ENV)
@@ -198,7 +244,7 @@ class TestPipeline:
         assert result.stdout == expected
 
 
-# What ``report`` prints for the hierarchical goldens; the CI replays it too.
+# What ``report`` prints for the hierarchical goldens, in process and in a child.
 HIERARCHICAL_TABLE = """\
 initial variation points: 10
 final variation points:   6
@@ -233,6 +279,13 @@ class TestReport:
             "--trace", str(GOLDEN_DIR / "hierarchical-trace.json"))
         assert (code, err) == (0, "")
         assert out == HIERARCHICAL_TABLE
+
+    def test_hierarchical_trace_replays_in_a_child(self):
+        result = run_child(
+            "report", *(str(GOLDEN_DIR / f"hierarchical-{name}.json")
+                        for name in ("derived", "reduced")),
+            "--trace", str(GOLDEN_DIR / "hierarchical-trace.json"))
+        assert (result.returncode, result.stdout, result.stderr) == (0, HIERARCHICAL_TABLE, "")
 
     def test_logistics_json(self, capsys, logistics_path):
         code, out, _ = run(
@@ -339,6 +392,24 @@ class TestConfigs:
         assert code == 0
         assert out.strip() == "12 unconstrained, 2 valid"
 
+    def test_count_engine_in_a_child(self, engine_plm_path):
+        result = run_child("configs", "-i", str(engine_plm_path), "--count")
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0, "12 unconstrained, 2 valid\n", "")
+
+    def test_count_one_over_the_engine_budget_in_a_child(self, engine_plm_path):
+        result = run_child("configs", "-i", str(engine_plm_path), "--count", "--budget", "11")
+        assert (result.returncode, result.stdout, result.stderr) == (3, "", (
+            "error: enumeration budget exceeded: 12 unconstrained configurations (budget 11)\n"))
+
+    def test_validate_reads_no_budget_in_a_child(self, engine_plm_path):
+        result = run_child(
+            "configs", "-i", str(engine_plm_path),
+            "--validate", str(corpus_path("configs", "engine-valid.json")),
+            env={**CHILD_ENV, "PLSE_BUDGET": "lots"})
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0, "configuration is valid\n", "")
+
     def test_count_empty_model(self, capsys):
         code, out, _ = run(capsys, "configs", "-i", str(corpus_path("empty-vm.json")),
                            "--count")
@@ -384,31 +455,18 @@ class TestConfigs:
         assert code == 0
         assert "16 valid" in out
 
-    @staticmethod
-    def grid_path(tmp_path) -> Path:
-        """Six root variation points of ten variants each, with no bindings
-        and no interactions: 10^6 selections, all valid, the default budget."""
-        vps = [f"g{i}" for i in range(6)]
-        path = tmp_path / "grid.json"
-        path.write_bytes(serialize(ProductLineModel(vm=VariabilityModel(
-            variation_points=tuple(
-                VariationPoint(id=vp, name=vp.upper(), level=Layer.FEATURE) for vp in vps),
-            variants=tuple(
-                Variant(id=f"{vp}.{k}", name=f"{vp}.{k}", vp_id=vp)
-                for vp in vps for k in range(10))))))
-        return path
-
     def test_count_builds_no_configuration(self, capsys, monkeypatch, tmp_path):
         def refuse(*args):
             raise AssertionError("--count enumerated the configurations")
 
         monkeypatch.setattr(configs, "enumerate_valid", refuse)
-        code, out, _ = run(capsys, "configs", "-i", str(self.grid_path(tmp_path)), "--count")
+        # 10^6 selections, the default budget.
+        code, out, _ = run(capsys, "configs", "-i", str(grid_path(tmp_path, 6)), "--count")
         assert code == 0
         assert out.strip() == "1000000 unconstrained, 1000000 valid"
 
     def test_count_one_over_the_budget_exits_three(self, capsys, tmp_path):
-        code, _, err = run(capsys, "configs", "-i", str(self.grid_path(tmp_path)),
+        code, _, err = run(capsys, "configs", "-i", str(grid_path(tmp_path, 6)),
                            "--count", "--budget", "999999")
         assert code == 3
         assert "1000000" in err
@@ -432,6 +490,54 @@ class TestConfigs:
             capsys, "configs", "-i", str(engine_plm_path), *flags,
             "--validate", str(corpus_path("configs", "engine-valid.json")))
         assert (code, out, err) == (0, "configuration is valid\n", "")
+
+
+# 10^4301: a count of more digits than ``str`` writes.
+HUGE = "1" + "0" * 4301
+
+
+@pytest.fixture(scope="module")
+def huge_grid_path(tmp_path_factory) -> Path:
+    return grid_path(tmp_path_factory.mktemp("huge"), 4301)
+
+
+class TestCountsOfOver4300Digits:
+    def test_count_over_the_budget_in_a_child(self, huge_grid_path):
+        result = run_child("configs", "-i", str(huge_grid_path), "--count", "--budget", "1")
+        assert (result.returncode, result.stdout, result.stderr) == (3, "", (
+            f"error: enumeration budget exceeded: {HUGE} unconstrained configurations "
+            "(budget 1)\n"))
+
+    def test_enumerate_over_the_default_budget(self, capsys, huge_grid_path):
+        code, out, err = run(capsys, "configs", "-i", str(huge_grid_path), "--enumerate")
+        assert (code, out, err) == (3, "", (
+            f"error: enumeration budget exceeded: {HUGE} unconstrained configurations "
+            "(budget 1000000)\n"))
+
+    def test_report_table_prints_them_in_full(self, capsys, huge_grid_path):
+        code, out, err = run(capsys, "report", str(huge_grid_path), str(huge_grid_path))
+        assert (code, err) == (0, "")
+        assert out == ("initial variation points: 4301\n"
+                       "final variation points:   4301\n"
+                       "reduction:                0%\n"
+                       f"unconstrained configs:    {HUGE} -> {HUGE}\n")
+
+    def test_report_json_prints_them_in_full(self, capsys, huge_grid_path):
+        code, out, err = run(capsys, "report", str(huge_grid_path), str(huge_grid_path),
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "initial_vp_count": 4301, "final_vp_count": 4301, "reduction_percentage": 0,
+            "unconstrained_before": HUGE, "unconstrained_after": HUGE}
+
+    def test_the_library_raises_budget_exceeded(self, huge_grid_path):
+        plm = documents.parse_variability_model(huge_grid_path.read_bytes())
+        for call in (configs.count_valid, configs.enumerate_valid):
+            with pytest.raises(BudgetExceededError) as exc:
+                call(plm, 1)
+            assert exc.value.unconstrained == 10**4301
+            assert str(exc.value) == (
+                f"enumeration budget exceeded: {HUGE} unconstrained configurations (budget 1)")
 
 
 class TestUsage:

@@ -8,6 +8,7 @@ the length of the oracle's list, or the same refusal.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 
@@ -65,19 +66,21 @@ def same_count(plm) -> bool:
 
 
 def _bundled_models():
-    """Every model among the bundled corpora and goldens: variability models
-    as they are, layered models derived; each also reduced."""
+    """Every model among the bundled corpora and goldens: variability and
+    product-line models as they are, layered models derived; each also reduced."""
+    readers = {
+        "variability-model": documents.parse_variability_model,
+        "product-line-model": documents.parse_variability_model,
+        "layered-model": lambda data: derive_initial_vm(*documents.parse_layered_model(data)),
+    }
     paths = sorted(corpus_dir().rglob("*.json")) + sorted(GOLDEN_DIR.glob("*.json"))
     for path in paths:
         data = path.read_bytes()
+        read = readers.get(json.loads(data)["kind"])
+        if read is None:
+            continue  # a configuration or a trace
         try:
-            kind = documents.load_document(data).kind
-            if kind == "variability-model":
-                plm = documents.parse_variability_model(data)
-            elif kind == "layered-model":
-                plm = derive_initial_vm(*documents.parse_layered_model(data))
-            else:
-                continue
+            plm = read(data)
         except documents.ParseError:
             continue  # the negative corpus
         yield path.name, plm
@@ -86,7 +89,8 @@ def _bundled_models():
 
 def test_bundled_corpora_and_goldens():
     models = dict(_bundled_models())
-    assert {"logistics-vm.json", "engine-hierarchical-layered.json"} <= models.keys()
+    assert {"logistics-vm.json", "engine-flat-plm.json",
+            "engine-hierarchical-layered.json"} <= models.keys()
     assert [name for name, plm in models.items() if not same_configurations(plm)] == []
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -39,6 +40,7 @@ from ovmkit.reduction import (
     reduce,
     verify_trace,
 )
+from refusals import refusal_text
 
 
 def vp(vp_id):
@@ -210,6 +212,39 @@ def test_public_checks_build_no_working_index(monkeypatch, path):
             assert check(vm, source, target) == expected, (check.__name__, source, target)
     with pytest.raises(AssertionError, match="working index"):
         reduce(plm)
+
+
+def unknown_id_calls(plm: ProductLineModel) -> dict:
+    """A call, by name, of each entry that takes variation point ids, with
+    the unknown id ``ghost`` on each side of a pair."""
+    vm = plm.vm
+    calls = {"interacting_pairs": lambda: interacting_pairs(vm, "ghost"),
+             "tree_size": lambda: tree_size(vm, "ghost")}
+    for a, b in (("ghost", "ip"), ("ip", "ghost")):
+        for check in (check_completeness, check_uniqueness, forest_preserved):
+            calls[f"{check.__name__}({a}, {b})"] = partial(check, vm, a, b)
+        calls[f"merge({a}, {b})"] = partial(merge, plm, a, b)
+    return calls
+
+
+def test_every_entry_refuses_an_unknown_id(engine_plm):
+    for name, call in unknown_id_calls(engine_plm).items():
+        with pytest.raises(Exception) as exc:
+            call()
+        assert type(exc.value) is ModelError, (name, exc.value)
+        assert str(exc.value) == "unknown variation point id: ghost", name
+
+
+def test_an_invalid_model_is_refused_before_an_unknown_id(engine_plm):
+    bad = replace(engine_plm, vm=replace(engine_plm.vm, refinements=(
+        VariabilityRefinement("pf", "nowhere"),)))
+    for name, call in unknown_id_calls(bad).items():
+        whole = name.startswith("merge")
+        with pytest.raises(Exception) as exc:
+            call()
+        assert type(exc.value) is ModelError, (name, exc.value)
+        assert str(exc.value) == refusal_text(
+            validate(bad if whole else ProductLineModel(vm=bad.vm))), name
 
 
 class TestMerge:
