@@ -57,7 +57,8 @@ def build_report(
 ) -> ReductionReport:
     """Compare the models. Each is checked, and its space counted once, by
     ``configs._counts`` under ``budget`` (``None``: ``default_budget()``);
-    a model over the budget gets no valid count."""
+    a model over the budget gets no valid count. Of a trace, only the ids
+    are checked here; ``verify_trace``, which ``report`` runs first, replays it."""
     initial = len(before.vm.variation_points)
     final = len(after.vm.variation_points)
     percentage = round(100 * (initial - final) / initial) if initial else 0
@@ -75,6 +76,16 @@ def build_report(
             raise ModelError(
                 f"trace lists {len(merges)} merges but the models differ by "
                 f"{initial - final} variation points")
+        vps = before.vm.vps_by_id()
+        left = vps.keys() - after.vm.vps_by_id().keys()  # to remove, once each
+        for i, (source, target) in enumerate(merges):
+            if source not in vps:
+                raise ModelError(f"trace merge {i}: the model before lacks source {source!r}")
+            if target not in left:
+                raise ModelError(f"trace merge {i}: target {target!r} is not left to remove")
+            left.remove(target)
+        if left:
+            raise ModelError(f"no trace merge removes {min(left)!r}, which the model after lacks")
     unconstrained_before, valid_before = counts(before)
     unconstrained_after, valid_after = counts(after)
     return ReductionReport(
@@ -97,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     derive_p = sub.add_parser("derive", help="derive a variability model from a layered model")
+    derive_p.set_defaults(run=_cmd_derive)
     derive_p.add_argument("-i", "--input", required=True, help="layered-model document ('-' for stdin)")
     derive_p.add_argument("-o", "--output", required=True, help="output path ('-' for stdout)")
     derive_p.add_argument(
@@ -104,11 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="only add hierarchy edges witnessed by an interaction between variable activities")
 
     reduce_p = sub.add_parser("reduce", help="merge variation points where checks allow")
+    reduce_p.set_defaults(run=_cmd_reduce)
     reduce_p.add_argument("-i", "--input", required=True, help="variability or product-line document ('-' for stdin)")
     reduce_p.add_argument("-o", "--output", required=True, help="output path ('-' for stdout)")
     reduce_p.add_argument("--trace", help="also write the merge trace document here")
 
     report_p = sub.add_parser("report", help="compare models before and after reduction")
+    report_p.set_defaults(run=_cmd_report)
     report_p.add_argument("before", help="model document before reduction")
     report_p.add_argument("after", help="model document after reduction")
     report_p.add_argument("--trace", help="trace document (adds the merge list)")
@@ -116,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--format", choices=("json", "table"), default="table")
 
     configs_p = sub.add_parser("configs", help="count, enumerate, or validate configurations")
+    configs_p.set_defaults(run=_cmd_configs)
     configs_p.add_argument("-i", "--input", required=True, help="model document ('-' for stdin)")
     mode = configs_p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--count", action="store_true", help="print unconstrained and valid counts")
@@ -133,20 +148,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
-    handlers = {
-        "derive": _cmd_derive,
-        "reduce": _cmd_reduce,
-        "report": _cmd_report,
-        "configs": _cmd_configs,
-    }
     try:
-        return handlers[args.command](args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return args.run(args)
     except (ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL_ERROR
+        return EXIT_BUDGET if isinstance(exc, BudgetExceededError) else EXIT_MODEL_ERROR
 
 
 def _read(path: str) -> bytes:

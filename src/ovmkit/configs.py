@@ -19,6 +19,7 @@ valid one, for ``configs --count`` and ``build_report``.
 from __future__ import annotations
 
 import os
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from math import prod
@@ -71,7 +72,10 @@ def default_budget() -> int:
         return DEFAULT_BUDGET
     try:
         value = int(raw)
-    except ValueError:
+    except ValueError:  # ``int`` reads at most ``limit`` digits from text; 0 is no limit
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # absent before 3.10.7
+        if 0 < limit < sum(map(str.isdecimal, raw)):
+            raise ModelError(f"{BUDGET_ENV_VAR} has more than {limit} digits") from None
         raise ModelError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
     if value <= 0:
         raise ModelError(f"{BUDGET_ENV_VAR} must be positive, got {raw!r}")

@@ -201,16 +201,11 @@ class _Codec(NamedTuple):
     lines: bool = False  # may span lines; ``text`` then takes ``pad=``, its first line's pad
 
 
-def _object_text(parts: list[str], pad: str) -> str:
-    """A JSON object from its ``"key": value`` parts, in key order, on a line
-    that starts with ``pad``; the parts are already at ``pad`` plus two spaces."""
+def _block(parts: list[str], pad: str, brackets: str = "[]") -> str:
+    """A JSON array, or object of ``"key": value`` parts, on a line that starts
+    with ``pad``; the parts, in order, are already at ``pad`` plus two spaces."""
     inner = (",\n" + pad + "  ").join(parts)
-    return f"{{\n{pad}  {inner}\n{pad}}}" if parts else "{}"
-
-
-def _array_text(items: list[str], pad: str) -> str:
-    inner = (",\n" + pad + "  ").join(items)
-    return f"[\n{pad}  {inner}\n{pad}]" if items else "[]"
+    return f"{brackets[0]}\n{pad}  {inner}\n{pad}{brackets[1]}" if parts else brackets
 
 
 def _object(value, where: str) -> dict:
@@ -235,25 +230,21 @@ def _reject_unknown(obj: dict, where: str, known) -> None:
         raise ParseError(f"{where}: unknown field {min(unknown)!r}")
 
 
-def _string(obj: dict, where: str, key: str) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str) or not value:
-        raise ParseError(f"{where}.{key} must be a non-empty string")
-    return value
+def _scalar(ok, what: str):
+    """A reader of the value at ``key``, refusing one ``ok`` rejects as not ``what``."""
+
+    def read(obj: dict, where: str, key: str):
+        value = obj.get(key)
+        if not ok(value):
+            raise ParseError(f"{where}.{key} must be {what}")
+        return value
+
+    return read
 
 
-def _boolean(obj: dict, where: str, key: str) -> bool:
-    value = obj.get(key)
-    if not isinstance(value, bool):
-        raise ParseError(f"{where}.{key} must be a boolean")
-    return value
-
-
-def _count(obj: dict, where: str, key: str) -> int:
-    value = obj.get(key)
-    if type(value) is not int or value < 0:
-        raise ParseError(f"{where}.{key} must be a non-negative integer")
-    return value
+_string = _scalar(lambda value: isinstance(value, str) and value != "", "a non-empty string")
+_boolean = _scalar(lambda value: isinstance(value, bool), "a boolean")
+_count = _scalar(lambda value: type(value) is int and value >= 0, "a non-negative integer")
 
 
 def _strings(obj: dict, where: str, key: str) -> tuple[str, ...]:
@@ -273,8 +264,8 @@ def _pairing(obj: dict, where: str, key: str) -> tuple[tuple[str, str], ...]:
 
 
 def _pairing_text(pairing, pad: str) -> str:
-    return _object_text([_escape(t) + ": " + _escape(s) for t, s in sorted(dict(pairing).items())],
-                        pad)
+    return _block([_escape(t) + ": " + _escape(s) for t, s in sorted(dict(pairing).items())],
+                  pad, "{}")
 
 
 def _enum(enum_cls) -> _Codec:
@@ -308,7 +299,7 @@ def _records(table, *, required: bool = False) -> _Codec:
         return table.column(items) or tuple(
             [table.read(item, f"{path}[{i}]") for i, item in enumerate(items)])
 
-    return _Codec(read, lambda records, pad: _array_text(table.items(records, pad + "  "), pad),
+    return _Codec(read, lambda records, pad: _block(table.items(records, pad + "  "), pad),
                   lines=True)
 
 
@@ -316,7 +307,7 @@ _STRING = _Codec(_string, column=lambda values: (
     values if _only({str}, values) and "" not in values else None))
 _BOOLEAN = _Codec(_boolean, {True: "true", False: "false"}.__getitem__,
                   lambda values: values if _only({bool}, values) else None)
-_STRINGS = _Codec(_strings, lambda values, pad: _array_text(list(map(_escape, values)), pad),
+_STRINGS = _Codec(_strings, lambda values, pad: _block(list(map(_escape, values)), pad),
                   lambda values: list(map(tuple, values)) if _only({list}, values)
                   and _only({str}, chain.from_iterable(values)) else None, lines=True)
 _LAYER = _enum(Layer)
@@ -371,8 +362,7 @@ class _Table:
 
     def text(self, record, pad: str) -> str:
         """The record's text on a line that starts with ``pad``."""
-        template, slots = self.writer(pad)
-        return template(*[text(get(record)) for get, text in slots])
+        return self.items((record,), pad)[0]
 
     def items(self, records, pad: str) -> list[str]:
         """Each record's text, a field at a time."""

@@ -188,6 +188,14 @@ def _grouped(pairs) -> dict[str, tuple[str, ...]]:
     return {key: tuple(values) for key, values in groups.items()}
 
 
+def _known(vps, *vp_ids: str):
+    """``vps``, a mapping keyed by variation-point id, once it holds each id."""
+    for vp_id in vp_ids:
+        if vp_id not in vps:
+            raise ModelError(f"unknown variation point id: {vp_id}")
+    return vps
+
+
 def _link(links, interactions) -> None:
     """Record the interactions in the out-edges, in-edges and partners of ``links``."""
     for edge in interactions:
@@ -282,10 +290,7 @@ class VariabilityModel:
         return links
 
     def vp(self, vp_id: str) -> VariationPoint:
-        vp = self._index.vps.get(vp_id)
-        if vp is None:
-            raise ModelError(f"unknown variation point id: {vp_id}")
-        return vp
+        return _known(self._index.vps, vp_id)[vp_id]
 
     def vps_by_id(self) -> MappingProxyType[str, VariationPoint]:
         return MappingProxyType(self._index.vps)

@@ -22,7 +22,7 @@ the model's frozen ``_links`` view. ``merge``, ``verify_trace`` and ``reduce``
 read one mutable working index (``_Index``) that each merge updates in
 place, and build the frozen model once, at the end. Neither index is built
 for a model ``validate`` rejects, so every index read here is a forest; then
-``_known`` refuses an id the index holds no variation point of.
+``model._known`` (``VariabilityModel.vp``'s check) refuses an unknown id.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .model import (
     VariabilityRefinement,
     VariationPoint,
     _KEYS,
+    _known,
     _link,
     check_valid,
     roots,
@@ -93,14 +94,6 @@ _REFUSALS = {
               "target variant {0!r} is an ancestor of the source",
     "orientation": "reduce never picks it: the target has {0} variants and the source {1}",
 }
-
-
-def _known(index, *vp_ids: str):
-    """The index, once it holds a variation point of each id."""
-    for vp_id in vp_ids:
-        if vp_id not in index.variants:
-            raise ModelError(f"unknown variation point id: {vp_id}")
-    return index
 
 
 def _oriented(index, source: str, target: str) -> bool:
@@ -196,7 +189,7 @@ class _Index:
 
     def apply(self, source: str, target: str) -> MergeRecord:
         """Merge as ``merge`` does, refusing as it does."""
-        _known(self, source, target)
+        _known(self.variants, source, target)
         if source == target:
             raise ReductionError("cannot merge a variation point into itself")
         reason, witness, pairing = _eligibility(self, source, target)
@@ -290,7 +283,8 @@ def interacting_pairs(
     tree's side of the encounter is the source. Order is deterministic and
     duplicates are dropped.
     """
-    return _pairs(_known(vm._links, root_vp_id), root_vp_id)
+    _known(vm._links.variants, root_vp_id)
+    return _pairs(vm._links, root_vp_id)
 
 
 def check_completeness(
@@ -298,8 +292,8 @@ def check_completeness(
 ) -> bool:
     """True iff every target variant interacts, in either direction, with
     some source variant."""
-    links = _known(vm._links, source_vp_id, target_vp_id)
-    return _eligibility(links, source_vp_id, target_vp_id)[0] != "completeness"
+    _known(vm._links.variants, source_vp_id, target_vp_id)
+    return _eligibility(vm._links, source_vp_id, target_vp_id)[0] != "completeness"
 
 
 def check_uniqueness(
@@ -309,8 +303,8 @@ def check_uniqueness(
     between its endpoints and each target variant has exactly one source
     partner. A parallel edge or a detour through other variants both
     defeat uniqueness."""
-    links = _known(vm._links, source_vp_id, target_vp_id)
-    reason = _eligibility(links, source_vp_id, target_vp_id)[0]
+    _known(vm._links.variants, source_vp_id, target_vp_id)
+    reason = _eligibility(vm._links, source_vp_id, target_vp_id)[0]
     return reason not in ("completeness", "partners", "path")
 
 
@@ -324,8 +318,8 @@ def forest_preserved(
     transferring the ancestor's subtrees would then create a refinement
     cycle. Such pairs are not eligible for merging.
     """
-    links = _known(vm._links, source_vp_id, target_vp_id)
-    return _ancestor_variant(links, source_vp_id, target_vp_id) is None
+    _known(vm._links.variants, source_vp_id, target_vp_id)
+    return _ancestor_variant(vm._links, source_vp_id, target_vp_id) is None
 
 
 def merge(

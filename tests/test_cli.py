@@ -258,6 +258,42 @@ valid configs:            7 -> 7
 """
 
 
+LOGISTICS_JSON = """\
+{
+  "final_vp_count": 4,
+  "initial_vp_count": 5,
+  "merges": [
+    {
+      "source": "ble",
+      "target": "tir"
+    }
+  ],
+  "reduction_percentage": 20,
+  "unconstrained_after": "16",
+  "unconstrained_before": "32",
+  "valid_after": "16",
+  "valid_before": "16"
+}
+"""
+
+EMPTY_TABLE = """\
+initial variation points: 0
+final variation points:   0
+reduction:                0%
+merged:                   none
+unconstrained configs:    1 -> 1
+valid configs:            1 -> 1
+"""
+
+
+def golden_plm(name: str) -> ProductLineModel:
+    return documents.parse_variability_model((GOLDEN_DIR / name).read_bytes())
+
+
+def golden_trace(name: str):
+    return documents.parse_trace((GOLDEN_DIR / name).read_bytes())
+
+
 class TestReport:
     def test_engine_table(self, capsys, engine_plm_path):
         code, out, _ = run(
@@ -331,6 +367,67 @@ class TestReport:
             str(GOLDEN_DIR / "engine-flat-reduced.json"), "--trace", str(trace))
         assert (code, out) == (1, "")
         assert err == f"error: trace records {pass_count} passes for 2 merges\n"
+
+    def test_logistics_json_with_its_trace(self, capsys, logistics_path):
+        code, out, err = run(
+            capsys, "report", str(logistics_path), str(GOLDEN_DIR / "logistics-reduced.json"),
+            "--trace", str(GOLDEN_DIR / "logistics-trace.json"), "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == LOGISTICS_JSON
+
+    def test_empty_model_against_its_own_reduction(self, capsys, tmp_path):
+        empty = corpus_path("empty-vm.json")
+        reduced, trace = tmp_path / "reduced.json", tmp_path / "trace.json"
+        assert run(capsys, "reduce", "-i", str(empty), "-o", str(reduced),
+                   "--trace", str(trace))[0] == 0
+        code, out, err = run(capsys, "report", str(empty), str(reduced),
+                             "--trace", str(trace))
+        assert (code, err) == (0, "")
+        assert out == EMPTY_TABLE
+
+    def test_library_report_lists_the_merges_of_its_trace(self, logistics_plm):
+        report = build_report(logistics_plm, golden_plm("logistics-reduced.json"),
+                              golden_trace("logistics-trace.json"), 10**6)
+        assert report.merges == (("ble", "tir"),)
+
+    def test_library_report_refuses_a_trace_of_more_merges(self, logistics_plm):
+        with pytest.raises(ModelError) as exc:
+            build_report(logistics_plm, logistics_plm, golden_trace("logistics-trace.json"),
+                         10**6)
+        assert str(exc.value) == "trace lists 1 merges but the models differ by 0 variation points"
+
+    @pytest.mark.parametrize("case, text", [
+        # The derived model's trace: as many merges, of variation points neither model has.
+        ("source-neither-has",
+         "trace merge 0: the model before lacks source 'vp:Process Function'"),
+        ("target-kept", "trace merge 0: target 'ble' is not left to remove"),
+        ("target-twice", "trace merge 1: target 'sf' is not left to remove"),
+        ("after-adds", "no trace merge removes 'ip', which the model after lacks"),
+    ], ids=["source-neither-has", "target-kept", "target-twice", "after-adds"])
+    def test_library_report_refuses_merges_the_models_do_not_differ_by(
+            self, engine_plm, logistics_plm, case, text):
+        def last_merge(trace, source, target):
+            last = replace(trace.merges[-1], source_vp_id=source, target_vp_id=target)
+            return replace(trace, merges=trace.merges[:-1] + (last,))
+
+        engine_trace = golden_trace("engine-flat-trace.json")
+        pf_zz = ProductLineModel(vm=VariabilityModel(variation_points=tuple(
+            VariationPoint(id=vp, name=vp, level=Layer.FEATURE) for vp in ("pf", "zz"))))
+        before, after, trace = {
+            "source-neither-has": (engine_plm, golden_plm("engine-flat-reduced.json"),
+                                   golden_trace("engine-flat-derived-trace.json")),
+            "target-kept": (logistics_plm, golden_plm("logistics-reduced.json"),
+                            last_merge(golden_trace("logistics-trace.json"), "tir", "ble")),
+            "target-twice": (engine_plm, golden_plm("engine-flat-reduced.json"),
+                             last_merge(engine_trace, "pf", "sf")),
+            # One variation point fewer for its one merge, but "zz" is new.
+            "after-adds": (engine_plm, pf_zz,
+                           replace(engine_trace, merges=engine_trace.merges[:1])),
+        }[case]
+        with pytest.raises(Exception) as exc:
+            build_report(before, after, trace, 10**6)
+        assert type(exc.value) is ModelError
+        assert str(exc.value) == text
 
     def test_identical_models_zero_percent(self, capsys, logistics_path):
         code, out, _ = run(
@@ -423,6 +520,32 @@ class TestConfigs:
         assert json.loads(out)["configurations"] == [
             ["p2", "pf2", "s2"], ["p3", "pf3", "s3"]]
 
+    def test_count_engine_json(self, capsys, engine_plm_path):
+        code, out, err = run(capsys, "configs", "-i", str(engine_plm_path), "--count",
+                             "--format", "json")
+        assert (code, out, err) == (0, '{\n  "unconstrained": "12",\n  "valid": "2"\n}\n', "")
+
+    @pytest.mark.parametrize("name, listing", [
+        ("engine-flat-plm.json", "p2 pf2 s2\np3 pf3 s3\n"), ("empty-vm.json", "(empty)\n")])
+    def test_enumerate_table(self, capsys, name, listing):
+        code, out, err = run(capsys, "configs", "-i", str(corpus_path(name)), "--enumerate")
+        assert (code, out, err) == (0, listing, "")
+
+    def test_validate_json(self, capsys, engine_plm_path):
+        def violations(config: str):
+            code, out, err = run(
+                capsys, "configs", "-i", str(engine_plm_path),
+                "--validate", str(corpus_path("configs", config)), "--format", "json")
+            assert err == ""
+            return code, json.loads(out)
+
+        closure = "interaction ({!r}, {!r}) requires both variants selected together"
+        assert violations("engine-invalid.json") == (1, {"violations": [
+            {"invariant": "interaction-closure", "subjects": [a, b],
+             "message": closure.format(a, b)}
+            for a, b in (("p2", "s2"), ("p3", "s3"), ("s3", "pf3"))]})
+        assert violations("engine-valid.json") == (0, {"violations": []})
+
     def test_validate_valid_configuration(self, capsys, engine_plm_path):
         code, out, _ = run(
             capsys, "configs", "-i", str(engine_plm_path),
@@ -454,6 +577,21 @@ class TestConfigs:
                            "--count", "--budget", "1000")
         assert code == 0
         assert "16 valid" in out
+
+    def test_a_budget_env_var_of_too_many_digits_is_refused_unechoed(
+            self, capsys, monkeypatch, engine_plm_path):
+        monkeypatch.setenv("PLSE_BUDGET", "1" * 4301)
+        code, out, err = run(capsys, "configs", "-i", str(engine_plm_path), "--count")
+        assert (code, out, err) == (1, "", "error: PLSE_BUDGET has more than 4300 digits\n")
+
+    @pytest.mark.parametrize("env, text", [
+        ("lots", "PLSE_BUDGET must be an integer, got 'lots'"),
+        ("0", "PLSE_BUDGET must be positive, got '0'")])
+    def test_a_budget_env_var_that_is_no_budget_is_refused(
+            self, capsys, monkeypatch, engine_plm_path, env, text):
+        monkeypatch.setenv("PLSE_BUDGET", env)
+        code, out, err = run(capsys, "configs", "-i", str(engine_plm_path), "--count")
+        assert (code, out, err) == (1, "", f"error: {text}\n")
 
     def test_count_builds_no_configuration(self, capsys, monkeypatch, tmp_path):
         def refuse(*args):

@@ -248,6 +248,11 @@ class TestRoundTrip:
         assert b'"kind": "variability-model"' in serialize(logistics_plm)
         assert b'"kind": "variability-model"' in serialize(ProductLineModel())
 
+    def test_anything_else_is_refused_by_its_type_name(self):
+        with pytest.raises(TypeError) as exc:
+            serialize(object())
+        assert str(exc.value) == "cannot serialize object"
+
 
 def _envelope(kind: str, body: dict) -> bytes:
     return json.dumps({"schema_version": "1", "kind": kind, "body": body}).encode()
