@@ -100,6 +100,15 @@ def build_report(
     )
 
 
+def _budget(raw: str) -> int:
+    """``--budget``'s type: ``int``, refusing a text of too many digits without it."""
+    try:
+        return int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            configspace._too_long(raw) or f"invalid int value: {raw!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ovmkit",
@@ -126,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("before", help="model document before reduction")
     report_p.add_argument("after", help="model document after reduction")
     report_p.add_argument("--trace", help="trace document (adds the merge list)")
-    report_p.add_argument("--budget", type=int, help="enumeration budget for valid counts")
+    report_p.add_argument("--budget", type=_budget, help="enumeration budget for valid counts")
     report_p.add_argument("--format", choices=("json", "table"), default="table")
 
     configs_p = sub.add_parser("configs", help="count, enumerate, or validate configurations")
@@ -136,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--count", action="store_true", help="print unconstrained and valid counts")
     mode.add_argument("--enumerate", action="store_true", help="list all valid configurations")
     mode.add_argument("--validate", metavar="CONFIG", help="check a configuration document")
-    configs_p.add_argument("--budget", type=int, help="enumeration budget")
+    configs_p.add_argument("--budget", type=_budget, help="enumeration budget")
     configs_p.add_argument("--format", choices=("json", "table"), default="table")
     return parser
 

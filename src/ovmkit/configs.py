@@ -66,17 +66,21 @@ class Configuration:
         return tuple(sorted(self.selection))
 
 
+def _too_long(raw: str) -> str | None:
+    """Why ``int`` refused ``raw``, if for its length alone (a limit of 0 is none)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # absent before 3.10.7
+    return f"has more than {limit} digits" if 0 < limit < sum(map(str.isdecimal, raw)) else None
+
+
 def default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
     try:
         value = int(raw)
-    except ValueError:  # ``int`` reads at most ``limit`` digits from text; 0 is no limit
-        limit = getattr(sys, "get_int_max_str_digits", int)()  # absent before 3.10.7
-        if 0 < limit < sum(map(str.isdecimal, raw)):
-            raise ModelError(f"{BUDGET_ENV_VAR} has more than {limit} digits") from None
-        raise ModelError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
+    except ValueError:
+        reason = _too_long(raw) or f"must be an integer, got {raw!r}"
+        raise ModelError(f"{BUDGET_ENV_VAR} {reason}") from None
     if value <= 0:
         raise ModelError(f"{BUDGET_ENV_VAR} must be positive, got {raw!r}")
     return value

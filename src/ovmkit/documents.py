@@ -384,21 +384,19 @@ def _field(key: str, column, default, items: list):
 def _writer(rows, pad: str):
     """A ``str.format`` template for a record on a line that starts with ``pad``, and
     per slot (in key order) a getter and a text function. An optional row's slot holds
-    ``"key": value`` and a separator, or ""."""
+    ``"key": value`` and a separator, or "", before the next required row (none is last)."""
     item = ",\n" + pad + "  "  # between the fields of the record
     parts, slots, pending = [], [], ""
-    for i, (key, attr, codec, default) in enumerate(rows):
+    for key, attr, codec, default in rows:
         text = partial(codec.text, pad=pad + "  ") if codec.lines else codec.text
         if default is _REQUIRED:
             parts.append(pending + _escape(key) + ": {}")
             pending = ""
         else:
-            last = all(row[3] is not _REQUIRED for row in rows[i:])
-            text = _slot((item if last else "") + _escape(key) + ": ", text,
-                         "" if last else item, default)
+            text = _slot(_escape(key) + ": ", text, item, default)
             pending += "{}"
         slots.append(((itemgetter if isinstance(attr, int) else attrgetter)(attr), text))
-    return f"{{{{\n{pad}  {item.join(parts)}{pending}\n{pad}}}}}".format, slots
+    return f"{{{{\n{pad}  {item.join(parts)}\n{pad}}}}}".format, slots
 
 
 def _slot(prefix: str, text, after: str, default):

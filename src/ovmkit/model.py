@@ -439,12 +439,17 @@ def _check_unique_ids(items, what: str, out: list[Violation]) -> None:
         seen.add(item.id)
 
 
+def _unresolved(label: str, what: str, *refs) -> Violation:
+    """``refs`` are ``(id, record or None)`` pairs; the text names the first id with no record."""
+    return Violation(label, tuple(ref_id for ref_id, _ in refs),
+                     f"{what} {next(ref_id for ref_id, record in refs if record is None)!r}")
+
+
 def _validate_layered(model: LayeredModel) -> list[Violation]:
     out: list[Violation] = []
     _check_unique_ids(model.activities, "activity", out)
     _check_unique_ids(model.artifacts, "artifact", out)
-    artifacts = model.artifacts_by_id()
-    activities = model.activities_by_id()
+    artifacts, activities = model._index.artifacts, model._index.activities
 
     for act in model.activities:
         if act.mandatory and act.group is not None:
@@ -453,9 +458,8 @@ def _validate_layered(model: LayeredModel) -> list[Violation]:
                 f"mandatory activity {act.id!r} cannot carry a group label"))
         owner = artifacts.get(act.artifact_id)
         if owner is None:
-            out.append(Violation(
-                "activity-artifact-resolution", (act.id, act.artifact_id),
-                f"activity {act.id!r} names unknown artifact {act.artifact_id!r}"))
+            out.append(_unresolved("activity-artifact-resolution", f"activity {act.id!r} names "
+                                   "unknown artifact", (act.id, act), (act.artifact_id, owner)))
         else:
             if owner.layer is not act.layer:
                 out.append(Violation(
@@ -481,13 +485,11 @@ def _validate_layered(model: LayeredModel) -> list[Violation]:
                     f"{member.artifact_id!r}"))
 
     for ref in model.refinements:
-        child = artifacts.get(ref.child_artifact_id)
-        parent = activities.get(ref.parent_activity_id)
+        child, parent = artifacts.get(ref.child_artifact_id), activities.get(ref.parent_activity_id)
         if child is None or parent is None:
-            missing = ref.child_artifact_id if child is None else ref.parent_activity_id
-            out.append(Violation(
-                "refinement-resolution", (ref.child_artifact_id, ref.parent_activity_id),
-                f"refinement references unknown id {missing!r}"))
+            out.append(_unresolved("refinement-resolution", "refinement references unknown id",
+                                   (ref.child_artifact_id, child),
+                                   (ref.parent_activity_id, parent)))
             continue
         if LAYER_ABOVE.get(child.layer) is not parent.layer:
             out.append(Violation(
@@ -501,13 +503,11 @@ def _validate_layered(model: LayeredModel) -> list[Violation]:
                 f"refinement of {parent.id!r} must have kind {expected.value!r}"))
 
     for inter in model.interactions:
-        out.extend(_validate_interaction_shape(inter, InteractionLevel.ARTIFACT))
+        _validate_interaction_shape(inter, InteractionLevel.ARTIFACT, out)
         a, b = activities.get(inter.from_id), activities.get(inter.to_id)
         if a is None or b is None:
-            missing = inter.from_id if a is None else inter.to_id
-            out.append(Violation(
-                "interaction-resolution", (inter.from_id, inter.to_id),
-                f"interaction references unknown activity {missing!r}"))
+            out.append(_unresolved("interaction-resolution", "interaction references unknown "
+                                   "activity", (inter.from_id, a), (inter.to_id, b)))
         elif a.layer is not b.layer:
             out.append(Violation(
                 "interaction-same-layer", (inter.from_id, inter.to_id),
@@ -516,8 +516,8 @@ def _validate_layered(model: LayeredModel) -> list[Violation]:
     return out
 
 
-def _validate_interaction_shape(inter: Interaction, expected: InteractionLevel) -> list[Violation]:
-    out = []
+def _validate_interaction_shape(inter: Interaction, expected: InteractionLevel,
+                                out: list[Violation]) -> None:
     if inter.from_id == inter.to_id:
         out.append(Violation(
             "interaction-distinct-endpoints", (inter.from_id,),
@@ -526,30 +526,25 @@ def _validate_interaction_shape(inter: Interaction, expected: InteractionLevel) 
         out.append(Violation(
             "interaction-level", (inter.from_id, inter.to_id),
             f"expected a {expected.value}-level interaction"))
-    return out
 
 
 def _validate_vm(vm: VariabilityModel) -> list[Violation]:
     out: list[Violation] = []
     _check_unique_ids(vm.variation_points, "variation point", out)
     _check_unique_ids(vm.variants, "variant", out)
-    vps = vm.vps_by_id()
-    variants = vm.variants_by_id()
+    vps, variants = vm._index.vps, vm._index.variants_by_id
 
     for variant in vm.variants:
         if variant.vp_id not in vps:
-            out.append(Violation(
-                "delta-consistency", (variant.id, variant.vp_id),
-                f"variant {variant.id!r} realizes unknown variation point {variant.vp_id!r}"))
+            out.append(_unresolved("delta-consistency", f"variant {variant.id!r} realizes unknown "
+                                   "variation point", (variant.id, variant), (variant.vp_id, None)))
 
     for inter in vm.variant_interactions:
-        out.extend(_validate_interaction_shape(inter, InteractionLevel.VARIANT))
+        _validate_interaction_shape(inter, InteractionLevel.VARIANT, out)
         a, b = variants.get(inter.from_id), variants.get(inter.to_id)
         if a is None or b is None:
-            missing = inter.from_id if a is None else inter.to_id
-            out.append(Violation(
-                "interaction-resolution", (inter.from_id, inter.to_id),
-                f"variant interaction references unknown variant {missing!r}"))
+            out.append(_unresolved("interaction-resolution", "variant interaction references "
+                                   "unknown variant", (inter.from_id, a), (inter.to_id, b)))
         elif a.vp_id == b.vp_id:
             out.append(Violation(
                 "interaction-distinct-vps", (inter.from_id, inter.to_id),
@@ -558,11 +553,10 @@ def _validate_vm(vm: VariabilityModel) -> list[Violation]:
 
     seen: set[str] = set()
     for ref in vm.refinements:
-        if ref.child_vp_id not in vps or ref.parent_variant_id not in variants:
-            missing = ref.child_vp_id if ref.child_vp_id not in vps else ref.parent_variant_id
-            out.append(Violation(
-                "psi-resolution", (ref.child_vp_id, ref.parent_variant_id),
-                f"variability refinement references unknown id {missing!r}"))
+        child, parent = vps.get(ref.child_vp_id), variants.get(ref.parent_variant_id)
+        if child is None or parent is None:
+            out.append(_unresolved("psi-resolution", "variability refinement references unknown id",
+                                   (ref.child_vp_id, child), (ref.parent_variant_id, parent)))
             continue
         if ref.child_vp_id in seen:
             out.append(Violation(
@@ -588,19 +582,16 @@ def _validate_vm(vm: VariabilityModel) -> list[Violation]:
 
 def _validate_bindings(plm: ProductLineModel) -> list[Violation]:
     out: list[Violation] = []
-    activities = plm.artifacts.activities_by_id()
-    artifacts = plm.artifacts.artifacts_by_id()
-    variants = plm.vm.variants_by_id()
-    vps = plm.vm.vps_by_id()
+    activities, artifacts = plm.artifacts._index.activities, plm.artifacts._index.artifacts
+    variants, vps = plm.vm._index.variants_by_id, plm.vm._index.vps
 
     artifact_vp: dict[str, str] = {}
     for b in plm.bindings:
         if b.kind is BindingKind.ARTIFACT_VP:
-            if b.source_id not in artifacts or b.target_id not in vps:
-                missing = b.source_id if b.source_id not in artifacts else b.target_id
-                out.append(Violation(
-                    "binding-resolution", (b.source_id, b.target_id),
-                    f"artifact binding references unknown id {missing!r}"))
+            artifact, vp = artifacts.get(b.source_id), vps.get(b.target_id)
+            if artifact is None or vp is None:
+                out.append(_unresolved("binding-resolution", "artifact binding references unknown "
+                                       "id", (b.source_id, artifact), (b.target_id, vp)))
             else:
                 artifact_vp[b.source_id] = b.target_id
 
@@ -614,13 +605,10 @@ def _validate_bindings(plm: ProductLineModel) -> list[Violation]:
             for activity_id, targets in bound.items() if len(targets) > 1)
 
     for b in activity_bindings:
-        act = activities.get(b.source_id)
-        variant = variants.get(b.target_id)
+        act, variant = activities.get(b.source_id), variants.get(b.target_id)
         if act is None or variant is None:
-            missing = b.source_id if act is None else b.target_id
-            out.append(Violation(
-                "binding-resolution", (b.source_id, b.target_id),
-                f"activity binding references unknown id {missing!r}"))
+            out.append(_unresolved("binding-resolution", "activity binding references unknown id",
+                                   (b.source_id, act), (b.target_id, variant)))
             continue
         bound_vp = artifact_vp.get(act.artifact_id)
         if bound_vp is not None and variant.vp_id != bound_vp:

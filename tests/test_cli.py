@@ -690,3 +690,26 @@ class TestUsage:
                            "-o", str(tmp_path / "out.json"))
         assert code == 1
         assert "gone.json" in err
+
+    @pytest.mark.parametrize("command, usage", [
+        (["configs", "-i", "x", "--count"],
+         "usage: ovmkit configs [-h] -i INPUT\n"
+         "                      (--count | --enumerate | --validate CONFIG)\n"
+         "                      [--budget BUDGET] [--format {json,table}]\n"
+         "ovmkit configs: error: "),
+        (["report", "a", "b"],
+         "usage: ovmkit report [-h] [--trace TRACE] [--budget BUDGET]\n"
+         "                     [--format {json,table}]\n"
+         "                     before after\n"
+         "ovmkit report: error: "),
+    ], ids=["configs", "report"])
+    @pytest.mark.parametrize("budget, text", [
+        ("1" * 4301, "argument --budget: has more than 4300 digits"),
+        ("abc", "argument --budget: invalid int value: 'abc'"),
+    ], ids=["4301-digits", "abc"])
+    def test_a_budget_that_is_no_int_is_a_usage_error(self, capsys, monkeypatch, command,
+                                                       usage, budget, text):
+        # A budget of more digits than ``int`` reads from text is refused unechoed.
+        monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps the usage to
+        code, out, err = run(capsys, *command, "--budget", budget)
+        assert (code, out, err) == (2, "", f"{usage}{text}\n")

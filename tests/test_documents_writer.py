@@ -11,6 +11,7 @@ characters, but no lone surrogate, which has no UTF-8 form.
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import json
 import random
@@ -313,6 +314,17 @@ def test_every_record_type_sorts_and_deduplicates():
         assert again.artifacts.activities == (ungrouped, grouped, other)
         assert serialize(again) == serialize(plm)
         assert ProductSet(shuffled(products.products, rng)) == products
+
+
+def test_no_table_has_an_optional_row_last_in_key_order():
+    # The writer places an optional row's text before the next required row's,
+    # so one with none after it would be dropped from the text without an error.
+    tables = [obj for obj in gc.get_objects() if isinstance(obj, documents._Table)]
+    rows = [table.writer.__wrapped__.args[0] for table in tables]  # in key order
+    assert len(tables) >= 20
+    assert any(row[3] is not documents._REQUIRED for key_rows in rows for row in key_rows)
+    assert [key_rows[-1][0] for key_rows in rows
+            if key_rows[-1][3] is not documents._REQUIRED] == []
 
 
 # -- the corpus builder -------------------------------------------------------

@@ -243,3 +243,53 @@ def test_every_derivation_entry_refuses_an_injected_layered_fault(seed, fault):
             call()
         assert type(exc.value) is ModelError, (name, exc.value)
         assert str(exc.value) == text, name
+
+
+# One unknown reference per case, planted in the fragment alone: the records
+# to add and the one violation ``validate`` reports, as ``str`` gives it. A
+# site that looks up two ids is planted with each of them missing in turn.
+UNRESOLVED = [
+    ({"activities": [activity("zz-x", FEATURE, "zz-nowhere")]},
+     "activity-artifact-resolution [zz-x, zz-nowhere]: "
+     "activity 'zz-x' names unknown artifact 'zz-nowhere'"),
+    ({"variants": [Variant("zz-r1", "R1", "zz-nowhere")]},
+     "delta-consistency [zz-r1, zz-nowhere]: "
+     "variant 'zz-r1' realizes unknown variation point 'zz-nowhere'"),
+    ({"refinements": [Refinement("zz-ghost", "zz-f1", RefinementKind.FEATURE)]},
+     "refinement-resolution [zz-ghost, zz-f1]: refinement references unknown id 'zz-ghost'"),
+    ({"refinements": [Refinement("zz-n", "zz-ghost", RefinementKind.FEATURE)]},
+     "refinement-resolution [zz-n, zz-ghost]: refinement references unknown id 'zz-ghost'"),
+    ({"interactions": [flow("zz-ghost", "zz-f1", InteractionLevel.ARTIFACT)]},
+     "interaction-resolution [zz-ghost, zz-f1]: "
+     "interaction references unknown activity 'zz-ghost'"),
+    ({"interactions": [flow("zz-f1", "zz-ghost", InteractionLevel.ARTIFACT)]},
+     "interaction-resolution [zz-f1, zz-ghost]: "
+     "interaction references unknown activity 'zz-ghost'"),
+    ({"variant_interactions": [flow("zz-ghost", "zz-q1", InteractionLevel.VARIANT)]},
+     "interaction-resolution [zz-ghost, zz-q1]: "
+     "variant interaction references unknown variant 'zz-ghost'"),
+    ({"variant_interactions": [flow("zz-p1", "zz-ghost", InteractionLevel.VARIANT)]},
+     "interaction-resolution [zz-p1, zz-ghost]: "
+     "variant interaction references unknown variant 'zz-ghost'"),
+    ({"vm_refinements": [VariabilityRefinement("zz-ghost", "zz-p1")]},
+     "psi-resolution [zz-ghost, zz-p1]: "
+     "variability refinement references unknown id 'zz-ghost'"),
+    ({"vm_refinements": [VariabilityRefinement("zz-Q", "zz-ghost")]},
+     "psi-resolution [zz-Q, zz-ghost]: "
+     "variability refinement references unknown id 'zz-ghost'"),
+    ({"bindings": [Binding(ARTIFACT_VP, "zz-ghost", "zz-P")]},
+     "binding-resolution [zz-ghost, zz-P]: artifact binding references unknown id 'zz-ghost'"),
+    ({"bindings": [Binding(ARTIFACT_VP, "zz-f", "zz-ghost")]},
+     "binding-resolution [zz-f, zz-ghost]: artifact binding references unknown id 'zz-ghost'"),
+    ({"bindings": [Binding(ACTIVITY_VARIANT, "zz-ghost", "zz-p1")]},
+     "binding-resolution [zz-ghost, zz-p1]: activity binding references unknown id 'zz-ghost'"),
+    ({"bindings": [Binding(ACTIVITY_VARIANT, "zz-f1", "zz-ghost")]},
+     "binding-resolution [zz-f1, zz-ghost]: activity binding references unknown id 'zz-ghost'"),
+]
+
+
+@pytest.mark.parametrize("records, text", UNRESOLVED)
+def test_each_unknown_reference_names_the_id_it_misses(records, text):
+    base = with_fragment(ProductLineModel())
+    assert validate(base) == []
+    assert list(map(str, validate(add(base, **records)))) == [text]
