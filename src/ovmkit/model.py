@@ -330,14 +330,13 @@ class ProductLineModel:
         return (*self.artifacts._violations, *self.vm._violations,
                 *_validate_bindings(self))
 
-    def _by_target(self) -> tuple[defaultdict, defaultdict]:
-        """Fresh sets of activity ids by variant and of artifact ids by
-        variation point, for ``_Index`` to change; not cached, as only it reads them."""
-        activities, artifacts = defaultdict(set), defaultdict(set)
-        for b in self.bindings:
-            by_target = activities if b.kind is BindingKind.ACTIVITY_VARIANT else artifacts
-            by_target[b.target_id].add(b.source_id)
-        return activities, artifacts
+    def _activities_by_variant(self) -> defaultdict:
+        """Fresh sets of activity ids by variant, for ``_Index`` to change;
+        not cached, as only it reads them."""
+        activities = defaultdict(set)
+        for b in self.activity_bindings():
+            activities[b.target_id].add(b.source_id)
+        return activities
 
     def activity_bindings(self) -> tuple[Binding, ...]:
         return tuple(b for b in self.bindings if b.kind is BindingKind.ACTIVITY_VARIANT)

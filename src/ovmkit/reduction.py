@@ -20,15 +20,19 @@ holding the ``Interaction`` objects, and undirected partner sets.
 returning the pairing or the witness of a refusal. The public checks read
 the model's frozen ``_links`` view. ``merge``, ``verify_trace`` and ``reduce``
 read one mutable working index (``_Index``) that each merge updates in
-place, and build the frozen model once, at the end. Neither index is built
-for a model ``validate`` rejects, so every index read here is a forest; then
-``model._known`` (``VariabilityModel.vp``'s check) refuses an unknown id.
+place; it also keeps the interactions merges added and what each removed
+variant or variation point was folded into, so the frozen model is built
+once, at the end, from the input's own records in their ascending order.
+Neither index is built for a model ``validate`` rejects, so every index read
+here is a forest; then ``model._known`` (``VariabilityModel.vp``'s check)
+refuses an unknown id.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush
 
 from .model import (
@@ -101,17 +105,26 @@ def _oriented(index, source: str, target: str) -> bool:
     return 0 < len(index.variants[target]) <= len(index.variants[source])
 
 
-def _pairs(index, root_vp_id: str) -> list[tuple[str, str]]:
-    """Pairs in the order ``interacting_pairs`` documents."""
-    pairs, seen = [], set()
-    for variant_id in sorted(tree_variants(index, root_vp_id)):
-        here = index.vp_of[variant_id]
+def _met(index, variant_id: str, partner_id: str) -> tuple[str, str, str, str]:
+    """``(variant, partner, source, target)``: a pair as a visit of the
+    variant meets it at the partner, oriented."""
+    here, there = index.vp_of[variant_id], index.vp_of[partner_id]
+    pair = (here, there) if _oriented(index, here, there) else (there, here)
+    return variant_id, partner_id, *pair
+
+
+def _pairs(index, variants) -> list[tuple[str, str, str, str]]:
+    """``_met`` of each pair where a visit of the variants first meets it, in
+    the order ``interacting_pairs`` documents."""
+    pairs, seen, vp_of = [], set(), index.vp_of
+    for variant_id in sorted(variants):
+        here = vp_of[variant_id]
         for partner_id in sorted(index.partners.get(variant_id, ())):
-            there = index.vp_of[partner_id]
+            there = vp_of[partner_id]
             key = (here, there) if here < there else (there, here)
             if key not in seen:
                 seen.add(key)
-                pairs.append((here, there) if _oriented(index, here, there) else (there, here))
+                pairs.append(_met(index, variant_id, partner_id))
     return pairs
 
 
@@ -169,7 +182,9 @@ def _ancestor_variant(index, source: str, target: str) -> str | None:
 
 
 class _Index:
-    """Mutable copies of a product-line model's lookups, bindings by target and adjacency."""
+    """Mutable copies of a product-line model's lookups, activities by variant
+    and adjacency, plus what the merges made: the interactions they added and
+    the variant or variation point each removed one was folded into."""
 
     def __init__(self, plm: ProductLineModel) -> None:
         check_valid(plm._violations)
@@ -179,13 +194,8 @@ class _Index:
         self.children = defaultdict(list, {v: list(c) for v, c in frozen.children.items()})
         self.out, self.inc, self.partners = defaultdict(set), defaultdict(set), defaultdict(set)
         _link(self, plm.vm.variant_interactions)
-        self.activities, self.artifacts = plm._by_target()
-
-    def root_of(self, vp_id: str) -> str:
-        """The root at the top of the chain of parents."""
-        while (pv := self.parent.get(vp_id)) is not None:
-            vp_id = self.vp_of[pv]
-        return vp_id
+        self.activities = plm._activities_by_variant()
+        self.added, self.into_variant, self.into_vp = [], {}, {}
 
     def apply(self, source: str, target: str) -> MergeRecord:
         """Merge as ``merge`` does, refusing as it does."""
@@ -208,7 +218,7 @@ class _Index:
         out, inc, vp_of = self.out, self.inc, self.vp_of
         edges = {e for tv in pairing for e in (*out.get(tv, ()), *inc.get(tv, ()))}
         changed = set(pairing.values())
-        moved_edges = set()
+        moved_edges, new = set(), []
         for edge in edges:
             out[edge.from_id].discard(edge)
             inc[edge.to_id].discard(edge)
@@ -217,7 +227,9 @@ class _Index:
             new_to = pairing.get(edge.to_id, edge.to_id)
             if new_from != new_to:
                 moved_edges.add((edge.from_id, edge.to_id, new_from, new_to))
-                _link(self, [Interaction(new_from, new_to, edge.kind, edge.level, edge.requires)])
+                new.append(Interaction(new_from, new_to, edge.kind, edge.level, edge.requires))
+        _link(self, new)
+        self.added += new
         for tv in pairing:
             del vp_of[tv]
             for by_variant in (out, inc, self.partners):
@@ -237,7 +249,8 @@ class _Index:
             for activity_id in self.activities.pop(tv, ()):
                 rebound.append((activity_id, tv, sv))
                 self.activities[sv].add(activity_id)
-        self.artifacts[source].update(self.artifacts.pop(target, ()))
+        self.into_variant.update(pairing)
+        self.into_vp[target] = source
         del self.variants[target]
         record = MergeRecord(
             source, target, tuple(sorted(pairing.items())), tuple(sorted(rebound)),
@@ -245,21 +258,37 @@ class _Index:
         return record, {vp_of[v] for v in changed} | {source}
 
     def materialise(self, plm: ProductLineModel) -> ProductLineModel:
-        vm = plm.vm
-        bindings = [Binding(BindingKind.ACTIVITY_VARIANT, a, v)
-                    for v, acts in self.activities.items() for a in acts]
-        bindings += [Binding(BindingKind.ARTIFACT_VP, a, vp_id)
-                     for vp_id, arts in self.artifacts.items() for a in arts]
+        """The frozen model, each collection in ascending order: the input's
+        records that survive, those merges changed rebuilt in place, and the
+        interactions merges added inserted where they sort."""
+        vm, alive, key = plm.vm, self.vp_of, _KEYS[Interaction]
+        edges = [e for e in vm.variant_interactions if e.from_id in alive and e.to_id in alive]
+        for edge in sorted({e for e in self.added if e.from_id in alive and e.to_id in alive},
+                           key=key):
+            i = bisect_left(edges, key(edge), key=key)
+            if edges[i:i + 1] != [edge]:
+                edges.insert(i, edge)
         return ProductLineModel(
             vm=VariabilityModel(
                 variation_points=tuple(vp for vp in vm.variation_points if vp.id in self.variants),
-                variants=tuple(v for v in vm.variants if v.id in self.vp_of),
-                variant_interactions=tuple(e for edges in self.out.values() for e in edges),
-                refinements=tuple(VariabilityRefinement(c, p) for c, p in self.parent.items()),
+                variants=tuple(v for v in vm.variants if v.id in alive),
+                variant_interactions=tuple(edges),
+                refinements=tuple(
+                    r if p == r.parent_variant_id else VariabilityRefinement(r.child_vp_id, p)
+                    for r in vm.refinements if (p := self.parent.get(r.child_vp_id)) is not None),
             ),
             artifacts=plm.artifacts,
-            bindings=tuple(bindings),
+            bindings=tuple(map(self._rebound, plm.bindings)),
         )
+
+    def _rebound(self, binding: Binding) -> Binding:
+        """The binding, its target followed through the merges that removed it."""
+        variant = binding.kind is BindingKind.ACTIVITY_VARIANT
+        alive, into = (self.vp_of, self.into_variant) if variant else (self.variants, self.into_vp)
+        target = binding.target_id
+        while target not in alive:
+            target = into[target]
+        return binding if target == binding.target_id else replace(binding, target_id=target)
 
 
 def main_root(vm: VariabilityModel) -> VariationPoint:
@@ -283,8 +312,9 @@ def interacting_pairs(
     tree's side of the encounter is the source. Order is deterministic and
     duplicates are dropped.
     """
-    _known(vm._links.variants, root_vp_id)
-    return _pairs(vm._links, root_vp_id)
+    links = vm._links
+    _known(links.variants, root_vp_id)
+    return [pair[2:] for pair in _pairs(links, tree_variants(links, root_vp_id))]
 
 
 def check_completeness(
@@ -376,62 +406,71 @@ def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
     enable or disable other merges. Terminates after at most one merge per
     variation point.
 
-    A pass skips what the last merge cannot have changed. A merge changes
-    the partners of the variants of a few variation points (``touched``),
-    moves subtrees between two trees, and, folding variants together, can
-    only add directed paths; so a refused pair stays refused unless it
-    involves a touched variation point, or the forest check refused it and
-    its tree changed. Each tree keeps its pairs, and a tree whose pairs are
-    all known refused is quiet: a pass skips it until a merge changes its
-    pairs or a pair's partners.
+    A pass decides again only the pairs the last merge changed. Merging the
+    target into the source gives the source the target's partners, moves the
+    target's subtrees under the source's variants and, folding variants
+    together, can only add directed paths. So the changed pairs are the
+    source's with each variation point it gained partners in, and every
+    pair of a moved variation point (its position, or the forest check,
+    can change); any other refused pair stays refused. Each tree keeps a
+    heap of its pairs still to decide, keyed by where its pair list meets
+    them; a merge pushes each changed pair where each tree listing it now
+    meets it, and an entry or a refusal older than the pair's last change is
+    dropped. Tree sizes change by the variants removed and moved.
     """
     index = _Index(plm)
-    size = {vp.id: len(tree_variants(index, vp.id)) for vp in roots(plm.vm)}
+    tree_of, size, todo = {}, {}, {}
+    for vp in roots(plm.vm):
+        variants = tree_variants(index, vp.id)
+        tree_of.update((index.vp_of[v], vp.id) for v in variants)
+        size[vp.id], todo[vp.id] = len(variants), [(*e, 0) for e in _pairs(index, variants)]
     heap = [(-n, root) for root, n in size.items()]  # entries of outdated size are skipped
     heapify(heap)
-    tree_pairs, quiet = {}, set()
-    # A refusal holds while both variation points keep the stamps it was
-    # made at; a merge bumps the stamps of those it touches.
-    refusals, stamp = {}, defaultdict(int)
-    merges = []
+    # By pair of variation points, either way round, the merges made when it last changed.
+    changed, refused, merges = {}, {}, []
     while True:
         found = None
         while heap and not found:
-            entry = negative_size, root = heappop(heap)
-            if size.get(root) != -negative_size or root in quiet:
-                continue
-            if root not in tree_pairs:
-                tree_pairs[root] = _pairs(index, root)
-            for pair in tree_pairs[root]:
-                stamps = stamp[pair[0]], stamp[pair[1]]
-                if refusals.get(pair) != stamps:
-                    reason, _, pairing = _eligibility(index, *pair)
-                    if reason is None:
-                        found = *pair, pairing
-                        heappush(heap, entry)
-                        break
-                    if reason != "forest":
-                        refusals[pair] = stamps
-            else:
-                quiet.add(root)
+            negative_size, root = heappop(heap)
+            while size.get(root) == -negative_size and todo[root] and not found:
+                entry = heappop(todo[root])
+                source, target, made = entry[2:]
+                since = changed.get((source, target), 0)
+                if made < since or refused.get((source, target), -1) >= since:
+                    continue
+                reason, _, pairing = _eligibility(index, source, target)
+                if reason is None:
+                    found = source, target, pairing
+                else:
+                    refused[source, target] = len(merges)
         if not found:
             trace = ReductionTrace(merges=tuple(merges), pass_count=len(merges) + 1)
             return (index.materialise(plm) if merges else plm), trace
 
         source, target, pairing = found
-        moved = {index.root_of(source), index.root_of(target)}
+        source_tree, target_tree = tree_of[source], tree_of[target]
         record, touched = index.merge(source, target, pairing)
         merges.append(record)
+        carried = [v for child, _, _ in record.transferred_refinements
+                   for v in tree_variants(index, child)]
+        size[source_tree] += len(carried)
+        size[target_tree] -= len(carried) + len(pairing)
         size.pop(target, None)
-        for vp_id in touched:
-            stamp[vp_id] += 1
-        # Trees whose pairs changed, then also trees holding a pair of a touched vp.
-        stale = (moved | set(map(index.root_of, touched))) & size.keys()
-        for root in stale:
-            size[root] = len(tree_variants(index, root))
-            tree_pairs.pop(root, None)
-        partnered = {index.root_of(index.vp_of[p]) for vp_id in touched
-                     for v in index.variants[vp_id] for p in index.partners[v]}
-        for root in stale | partnered:
-            quiet.discard(root)
+        tree_of.update((index.vp_of[v], source_tree) for v in carried)
+        # Each changed pair, with the end whose variants find its links.
+        redo = {(vp_id, source) for vp_id in touched - {source}}
+        redo.update((index.vp_of[v], index.vp_of[p]) for v in carried
+                    for p in index.partners.get(v, ()))
+        for one, other in redo | {(vp_id, target) for vp_id in touched}:
+            changed[one, other] = changed[other, one] = len(merges)
+        grown = {source_tree, target_tree} & size.keys()
+        for one, other in redo:
+            links = [(v, p) for v in index.variants[one] for p in index.partners.get(v, ())
+                     if index.vp_of[p] == other]
+            for root in {tree_of[one], tree_of[other]} if links else ():
+                meets = (links if tree_of[one] == root else []) + (
+                    [(p, v) for v, p in links] if tree_of[other] == root else [])
+                heappush(todo[root], (*_met(index, *min(meets)), len(merges)))
+                grown.add(root)
+        for root in grown:
             heappush(heap, (-size[root], root))

@@ -6,10 +6,14 @@ the variation-point set shrinks by exactly the target, and every refinement
 subtree survives (re-parented onto the paired source variant when its old
 parent was removed). It also asserts termination, idempotence, output
 validity, serialization determinism, and the tree-size recount oracle.
+
+``check_space_map`` compares the valid configurations before and after
+``reduce``: which lose their image and which are gained.
 """
 
 from __future__ import annotations
 
+from ovmkit.configs import enumerate_valid
 from ovmkit.documents import serialize
 from ovmkit.model import ProductLineModel, roots, tree_size, validate
 from ovmkit.reduction import (
@@ -99,3 +103,22 @@ def check_reduction_properties(plm: ProductLineModel) -> ReductionTrace:
     rerun, _ = reduce(plm)
     assert serialize(rerun) == serialize(reduced)
     return trace
+
+
+def check_space_map(plm: ProductLineModel, budget: int | None = None):
+    """``(lost, gained)``: the valid configurations before ``reduce`` whose
+    image, each selected variant mapped through the trace's pairings as
+    acceptance criterion 7 maps it, is not valid after; and the valid
+    configurations after that are the image of none before. Each is a sorted
+    list of sorted variant-id tuples; ``budget`` bounds both enumerations."""
+    reduced, trace = reduce(plm)
+    images = {}
+    for cfg in enumerate_valid(plm, budget):
+        mapped = set(cfg.selection)
+        for record in trace.merges:
+            pairing = record.pairing()
+            mapped = {pairing.get(v, v) for v in mapped}
+        images[cfg.sorted_ids()] = tuple(sorted(mapped))
+    after = {cfg.sorted_ids() for cfg in enumerate_valid(reduced, budget)}
+    lost = sorted(ids for ids, image in images.items() if image not in after)
+    return lost, sorted(after - set(images.values()))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import random
@@ -15,7 +16,7 @@ import pytest
 from conftest import GOLDEN_DIR
 from modelgen import random_plm
 from ovmkit import configs, corpus_path, documents
-from ovmkit.cli import ReductionReport, build_report, main
+from ovmkit.cli import ReductionReport, build_parser, build_report, main
 from ovmkit.configs import BudgetExceededError
 from ovmkit.documents import serialize
 from ovmkit.model import (
@@ -691,25 +692,22 @@ class TestUsage:
         assert code == 1
         assert "gone.json" in err
 
-    @pytest.mark.parametrize("command, usage", [
-        (["configs", "-i", "x", "--count"],
-         "usage: ovmkit configs [-h] -i INPUT\n"
-         "                      (--count | --enumerate | --validate CONFIG)\n"
-         "                      [--budget BUDGET] [--format {json,table}]\n"
-         "ovmkit configs: error: "),
-        (["report", "a", "b"],
-         "usage: ovmkit report [-h] [--trace TRACE] [--budget BUDGET]\n"
-         "                     [--format {json,table}]\n"
-         "                     before after\n"
-         "ovmkit report: error: "),
+    @pytest.mark.parametrize("command, error", [
+        (["configs", "-i", "x", "--count"], "ovmkit configs: error: "),
+        (["report", "a", "b"], "ovmkit report: error: "),
     ], ids=["configs", "report"])
     @pytest.mark.parametrize("budget, text", [
         ("1" * 4301, "argument --budget: has more than 4300 digits"),
         ("abc", "argument --budget: invalid int value: 'abc'"),
     ], ids=["4301-digits", "abc"])
     def test_a_budget_that_is_no_int_is_a_usage_error(self, capsys, monkeypatch, command,
-                                                       usage, budget, text):
+                                                       error, budget, text):
         # A budget of more digits than ``int`` reads from text is refused unechoed.
         monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps the usage to
+        # The usage as the running Python's argparse wraps it (3.13 wraps it otherwise).
+        subcommands = next(action.choices for action in build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        usage = subcommands[command[0]].format_usage()
+        assert usage.startswith(f"usage: ovmkit {command[0]} [-h] ")
         code, out, err = run(capsys, *command, "--budget", budget)
-        assert (code, out, err) == (2, "", f"{usage}{text}\n")
+        assert (code, out, err) == (2, "", f"{usage}{error}{text}\n")

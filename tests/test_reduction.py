@@ -4,6 +4,7 @@ the reduction fixpoint."""
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import replace
 from functools import partial
 
@@ -11,7 +12,9 @@ import pytest
 
 import reference_reduction
 from conftest import GOLDEN_DIR
-from ovmkit import corpus_path, reduction
+from modelgen import random_plm
+from ovmkit import corpus_path, model, reduction
+from ovmkit.derivation import derive_initial_vm
 from ovmkit.documents import parse_variability_model, serialize
 from ovmkit.model import (
     Interaction,
@@ -40,6 +43,7 @@ from ovmkit.reduction import (
     reduce,
     verify_trace,
 )
+from reduction_checks import check_space_map
 from refusals import refusal_text
 
 
@@ -442,6 +446,33 @@ class TestReduce:
             assert trace.merges == ()
             assert again == reduced
 
+    def test_the_result_arrives_in_order(self, monkeypatch, engine_plm, logistics_plm,
+                                         engine_layered, hierarchical_layered):
+        """Each collection of a reduced model is built ascending, so the model
+        constructors return it as it is and sort nothing."""
+        plms = [random_plm(random.Random(seed), max_vps=200, max_variants=800)
+                for seed in range(30)]
+        plms += [engine_plm, logistics_plm, derive_initial_vm(engine_layered),
+                 derive_initial_vm(hierarchical_layered)]
+        sorted_unique, calls = model._sorted_unique, []
+
+        def watched(items, cls=None):
+            result = sorted_unique(items, cls)
+            calls.append((cls.__name__, result is items))
+            return result
+
+        monkeypatch.setattr(model, "_sorted_unique", watched)
+        merging = 0
+        for plm in plms:
+            calls.clear()
+            _, trace = reduce(plm)
+            if trace.merges:
+                merging += 1
+                assert calls == [(cls, True) for cls in (
+                    "VariationPoint", "Variant", "Interaction", "VariabilityRefinement",
+                    "Binding")]
+        assert merging == 33
+
 
 class TestVerifyTrace:
     def test_refuses_a_model_with_two_parents(self):
@@ -506,3 +537,29 @@ class TestVerifyTrace:
         short = replace(trace, merges=trace.merges[:1])
         with pytest.raises(ModelError, match="does not give the model after"):
             verify_trace(engine_plm, short, reduced)
+
+
+class TestProductSpace:
+    """``reduce`` can change which configurations are valid (ROADMAP item
+    17). These pin today's behaviour on two small random models."""
+
+    def test_a_merge_across_trees_loses_an_image(self):
+        # vp003 (one variant, under v001.0) folds into vp004 (under v002.3):
+        # the image selects v004.4 while vp004 is inactive.
+        plm = random_plm(random.Random(73), max_vps=8, max_variants=24)
+        _, trace = reduce(plm)
+        assert [(m.source_vp_id, m.target_vp_id, m.variant_pairing) for m in trace.merges] == [
+            ("vp004", "vp003", (("v003.0", "v004.4"),))]
+        assert check_space_map(plm, budget=10**6) == (
+            [("v000.3", "v001.0", "v002.0", "v003.0")], [("v000.3", "v001.0", "v002.0")])
+
+    def test_a_root_absorbing_its_descendant_loses_an_image(self):
+        # vp001 folds into the root above it, so v000.0 now activates vp003.
+        plm = random_plm(random.Random(221), max_vps=8, max_variants=24)
+        _, trace = reduce(plm)
+        assert [(m.source_vp_id, m.target_vp_id) for m in trace.merges] == [("vp000", "vp001")]
+        assert check_space_map(plm, budget=10**6) == ([("v000.0",)], [])
+
+    def test_the_corpora_keep_every_image(self, engine_plm, logistics_plm):
+        assert check_space_map(engine_plm) == ([], [("pf1",)])
+        assert check_space_map(logistics_plm) == ([], [])
