@@ -197,10 +197,9 @@ def _known(vps, *vp_ids: str):
 
 
 def _link(links, interactions) -> None:
-    """Record the interactions in the out-edges, in-edges and partners of ``links``."""
+    """Record the interactions in the out-edges and partners of ``links``."""
     for edge in interactions:
         links.out[edge.from_id].add(edge)
-        links.inc[edge.to_id].add(edge)
         links.partners[edge.from_id].add(edge.to_id)
         links.partners[edge.to_id].add(edge.from_id)
 
@@ -282,10 +281,9 @@ class VariabilityModel:
 
     @cached_property
     def _links(self) -> SimpleNamespace:
-        """``_index`` plus each variant's out- and in-edges and partners, of a valid model only."""
+        """``_index`` plus each variant's out-edges and partners, of a valid model only."""
         check_valid(self._violations)
-        links = SimpleNamespace(**vars(self._index), out=defaultdict(set), inc=defaultdict(set),
-                                partners=defaultdict(set))
+        links = SimpleNamespace(**vars(self._index), out=defaultdict(set), partners=defaultdict(set))
         _link(links, self.variant_interactions)
         return links
 

@@ -14,8 +14,8 @@ transfers its remaining interactions. Passes repeat until no merge applies.
 
 The pair functions (``_pairs``, ``_eligibility`` and the walks it makes)
 read "an index": variants by variation point and back, child variation
-points by variant, parent variant by variation point, in- and out-adjacency
-holding the ``Interaction`` objects, and undirected partner sets.
+points by variant, parent variant by variation point, out-edges holding the
+``Interaction`` objects, and undirected partner sets.
 ``_eligibility`` decides a pair in one walk over the target's variants,
 returning the pairing or the witness of a refusal. The public checks read
 the model's frozen ``_links`` view. ``merge``, ``verify_trace`` and ``reduce``
@@ -146,7 +146,7 @@ def _eligibility(index, source: str, target: str):
         return "partners", doubled, None
     for tv, sv in pairing.items():
         between = [e for e in index.out.get(tv, ()) if e.to_id == sv]
-        between += [e for e in index.inc.get(tv, ()) if e.from_id == sv]
+        between += [e for e in index.out.get(sv, ()) if e.to_id == tv]
         for edge in sorted(between, key=_KEYS[Interaction]):
             if _alternative_path(index, edge):
                 return "path", (edge.from_id, edge.to_id), None
@@ -192,7 +192,7 @@ class _Index:
         self.vp_of, self.variants = dict(frozen.vp_of), dict(frozen.variants)
         self.parent = dict(frozen.parent)
         self.children = defaultdict(list, {v: list(c) for v, c in frozen.children.items()})
-        self.out, self.inc, self.partners = defaultdict(set), defaultdict(set), defaultdict(set)
+        self.out, self.partners = defaultdict(set), defaultdict(set)
         _link(self, plm.vm.variant_interactions)
         self.activities = plm._activities_by_variant()
         self.added, self.into_variant, self.into_vp = [], {}, {}
@@ -215,13 +215,13 @@ class _Index:
         """Fold the target into the source in place, given a full pairing.
         Returns the record and the variation points whose variants gained or
         lost partners."""
-        out, inc, vp_of = self.out, self.inc, self.vp_of
-        edges = {e for tv in pairing for e in (*out.get(tv, ()), *inc.get(tv, ()))}
+        out, partners, vp_of = self.out, self.partners, self.vp_of
+        edges = {e for tv in pairing for v in (tv, *partners.get(tv, ())) for e in out.get(v, ())
+                 if tv in (e.from_id, e.to_id)}
         changed = set(pairing.values())
         moved_edges, new = set(), []
         for edge in edges:
             out[edge.from_id].discard(edge)
-            inc[edge.to_id].discard(edge)
             changed.update((edge.from_id, edge.to_id))
             new_from = pairing.get(edge.from_id, edge.from_id)
             new_to = pairing.get(edge.to_id, edge.to_id)
@@ -232,11 +232,11 @@ class _Index:
         self.added += new
         for tv in pairing:
             del vp_of[tv]
-            for by_variant in (out, inc, self.partners):
+            for by_variant in (out, partners):
                 by_variant.pop(tv, None)
         changed.difference_update(pairing)
         for v in changed:
-            self.partners[v].difference_update(pairing)
+            partners[v].difference_update(pairing)
 
         if target in self.parent:
             self.children[self.parent.pop(target)].remove(target)
@@ -415,8 +415,9 @@ def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
     can change); any other refused pair stays refused. Each tree keeps a
     heap of its pairs still to decide, keyed by where its pair list meets
     them; a merge pushes each changed pair where each tree listing it now
-    meets it, and an entry or a refusal older than the pair's last change is
-    dropped. Tree sizes change by the variants removed and moved.
+    meets it, and an entry older than its pair's stamp is dropped: a change
+    stamps both orientations with the merges made, a refusal its own with
+    one more. Tree sizes change by the variants removed and moved.
     """
     index = _Index(plm)
     tree_of, size, todo = {}, {}, {}
@@ -426,8 +427,8 @@ def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
         size[vp.id], todo[vp.id] = len(variants), [(*e, 0) for e in _pairs(index, variants)]
     heap = [(-n, root) for root, n in size.items()]  # entries of outdated size are skipped
     heapify(heap)
-    # By pair of variation points, either way round, the merges made when it last changed.
-    changed, refused, merges = {}, {}, []
+    # By oriented pair, the merge count from which its heap entries are current.
+    current_from, merges = {}, []
     while True:
         found = None
         while heap and not found:
@@ -435,14 +436,13 @@ def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
             while size.get(root) == -negative_size and todo[root] and not found:
                 entry = heappop(todo[root])
                 source, target, made = entry[2:]
-                since = changed.get((source, target), 0)
-                if made < since or refused.get((source, target), -1) >= since:
+                if made < current_from.get((source, target), 0):
                     continue
                 reason, _, pairing = _eligibility(index, source, target)
                 if reason is None:
                     found = source, target, pairing
                 else:
-                    refused[source, target] = len(merges)
+                    current_from[source, target] = len(merges) + 1
         if not found:
             trace = ReductionTrace(merges=tuple(merges), pass_count=len(merges) + 1)
             return (index.materialise(plm) if merges else plm), trace
@@ -462,7 +462,7 @@ def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
         redo.update((index.vp_of[v], index.vp_of[p]) for v in carried
                     for p in index.partners.get(v, ()))
         for one, other in redo | {(vp_id, target) for vp_id in touched}:
-            changed[one, other] = changed[other, one] = len(merges)
+            current_from[one, other] = current_from[other, one] = len(merges)
         grown = {source_tree, target_tree} & size.keys()
         for one, other in redo:
             links = [(v, p) for v in index.variants[one] for p in index.partners.get(v, ())

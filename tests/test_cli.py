@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,14 +15,17 @@ from pathlib import Path
 import pytest
 
 from conftest import GOLDEN_DIR
-from modelgen import random_plm
+from modelgen import random_layered, random_plm
 from ovmkit import configs, corpus_path, documents
 from ovmkit.cli import ReductionReport, build_parser, build_report, main
-from ovmkit.configs import BudgetExceededError
+from ovmkit.configs import BudgetExceededError, Configuration
 from ovmkit.documents import serialize
 from ovmkit.model import (
     Binding,
     BindingKind,
+    Interaction,
+    InteractionKind,
+    InteractionLevel,
     Layer,
     ModelError,
     ProductLineModel,
@@ -243,6 +247,29 @@ class TestPipeline:
             pipeline, shell=True, capture_output=True, check=True, env=CHILD_ENV)
         expected = (GOLDEN_DIR / "engine-flat-derived-reduced.json").read_bytes()
         assert result.stdout == expected
+
+    def test_the_outputs_do_not_depend_on_the_hash_seed(self, tmp_path, hierarchical_path):
+        lifted = tmp_path / "lifted.json"
+        layered, products = random_layered(random.Random(26), label_all_difs=True)
+        lifted.write_bytes(serialize(layered, products=products))
+        ovmkit = f"{shlex.quote(sys.executable)} -S -m ovmkit"
+        outputs = {}
+        for hash_seed in "012":
+            for source in (hierarchical_path, lifted):
+                pipeline = (
+                    f"set -o pipefail; {ovmkit} derive -i {shlex.quote(str(source))} -o - "
+                    f"| tee derived.json | {ovmkit} reduce -i - -o - --trace trace.json "
+                    f"> reduced.json && {ovmkit} report derived.json reduced.json "
+                    f"--trace trace.json --format json")
+                result = subprocess.run(["bash", "-c", pipeline], cwd=tmp_path, check=True,
+                                        capture_output=True,
+                                        env={**CHILD_ENV, "PYTHONHASHSEED": hash_seed})
+                outputs.setdefault(source, set()).add((result.stdout, *(
+                    (tmp_path / f"{name}.json").read_bytes()
+                    for name in ("derived", "reduced", "trace"))))
+        for runs in outputs.values():
+            [(report, *_)] = runs  # one output under every hash seed
+            assert json.loads(report)["merges"]
 
 
 # What ``report`` prints for the hierarchical goldens, in process and in a child.
@@ -629,6 +656,45 @@ class TestConfigs:
             capsys, "configs", "-i", str(engine_plm_path), *flags,
             "--validate", str(corpus_path("configs", "engine-valid.json")))
         assert (code, out, err) == (0, "configuration is valid\n", "")
+
+
+@pytest.fixture(scope="module")
+def non_ascii_dir(tmp_path_factory) -> Path:
+    """A model whose ids are not ASCII, with its reduction, trace and a
+    configuration that breaks the interaction's closure."""
+    plm = ProductLineModel(vm=VariabilityModel(
+        variation_points=tuple(VariationPoint(id=vp, name=vp, level=Layer.FEATURE)
+                               for vp in ("vp-ü", "vp-é")),
+        variants=(Variant(id="v-ä", name="ä", vp_id="vp-ü"),
+                  Variant(id="v-☃", name="☃", vp_id="vp-ü"),
+                  Variant(id="v-ö", name="ö", vp_id="vp-é")),
+        variant_interactions=(Interaction("v-ö", "v-ä", InteractionKind.MATERIAL,
+                                          InteractionLevel.VARIANT, requires=True),)))
+    reduced, trace = reduce(plm)
+    assert len(trace.merges) == 1
+    path = tmp_path_factory.mktemp("non-ascii")
+    for name, document in (("model", plm), ("reduced", reduced), ("trace", trace),
+                           ("config", Configuration(frozenset({"v-☃", "v-ö"})))):
+        (path / f"{name}.json").write_bytes(serialize(document))
+    return path
+
+
+class TestStdoutEncoding:
+    @pytest.mark.parametrize("args", [
+        ("configs", "-i", "model.json", "--enumerate"),
+        ("configs", "-i", "model.json", "--enumerate", "--format", "json"),
+        ("configs", "-i", "model.json", "--validate", "config.json"),
+        ("configs", "-i", "model.json", "--validate", "config.json", "--format", "json"),
+        ("report", "model.json", "reduced.json", "--trace", "trace.json"),
+        ("report", "model.json", "reduced.json", "--trace", "trace.json", "--format", "json"),
+    ], ids=" ".join)
+    def test_an_ascii_stdout_gets_the_utf8_bytes(self, non_ascii_dir, args):
+        runs = [subprocess.run([sys.executable, "-S", "-m", "ovmkit", *args], cwd=non_ascii_dir,
+                               capture_output=True, env={**CHILD_ENV, "PYTHONIOENCODING": encoding})
+                for encoding in ("utf-8", "ascii")]
+        utf8, ascii_run = [(r.returncode, r.stdout, r.stderr) for r in runs]
+        assert ascii_run == utf8
+        assert utf8[2] == b"" and not utf8[1].isascii()
 
 
 # 10^4301: a count of more digits than ``str`` writes.
