@@ -12,20 +12,21 @@ every target variant with exactly one source variant (uniqueness). Merging
 removes the target, rebinds its activities, re-parents its subtrees, and
 transfers its remaining interactions. Passes repeat until no merge applies.
 
-The pair functions (``_pairs``, ``_eligibility`` and the walks it makes)
-read "an index": variants by variation point and back, child variation
-points by variant, parent variant by variation point, out-edges holding the
-``Interaction`` objects, and undirected partner sets.
-``_eligibility`` decides a pair in one walk over the target's variants,
-returning the pairing or the witness of a refusal. The public checks read
-the model's frozen ``_links`` view. ``merge``, ``verify_trace`` and ``reduce``
-read one mutable working index (``_Index``) that each merge updates in
-place; it also keeps the interactions merges added and what each removed
-variant or variation point was folded into, so the frozen model is built
-once, at the end, from the input's own records in their ascending order.
-Neither index is built for a model ``validate`` rejects, so every index read
-here is a forest; then ``model._known`` (``VariabilityModel.vp``'s check)
-refuses an unknown id.
+The pair functions (``_complete_pairs``, ``_push``, ``_eligibility`` and the
+walks it makes) read "an index": variants by variation point and back, child
+variation points by variant, parent variant by variation point, out-edges
+holding the ``Interaction`` objects, and undirected partner sets.
+``_complete_pairs`` sweeps the partner sets once for the pairs that can pass
+completeness, and ``_eligibility`` decides a pair in one walk over the
+target's variants, returning the pairing or the witness of a refusal. The
+public checks read the model's frozen ``_links`` view. ``merge``,
+``verify_trace`` and ``reduce`` read one mutable working index (``_Index``)
+that each merge updates in place; it also keeps the interactions merges
+added and what each removed variant or variation point was folded into, so
+the frozen model is built once, at the end, from the input's own records in
+their ascending order. Neither index is built for a model ``validate``
+rejects, so every index read here is a forest; then ``model._known``
+(``VariabilityModel.vp``'s check) refuses an unknown id.
 """
 
 from __future__ import annotations
@@ -113,19 +114,31 @@ def _met(index, variant_id: str, partner_id: str) -> tuple[str, str, str, str]:
     return variant_id, partner_id, *pair
 
 
-def _pairs(index, variants) -> list[tuple[str, str, str, str]]:
-    """``_met`` of each pair where a visit of the variants first meets it, in
-    the order ``interacting_pairs`` documents."""
-    pairs, seen, vp_of = [], set(), index.vp_of
-    for variant_id in sorted(variants):
-        here = vp_of[variant_id]
-        for partner_id in sorted(index.partners.get(variant_id, ())):
-            there = vp_of[partner_id]
-            key = (here, there) if here < there else (there, here)
-            if key not in seen:
-                seen.add(key)
-                pairs.append(_met(index, variant_id, partner_id))
-    return pairs
+def _complete_pairs(index) -> set[tuple[str, str]]:
+    """Each pair of variation points, ascending, that is complete in at least
+    one orientation: every variant of one end interacts with the other end."""
+    covered, vp_of = defaultdict(int), index.vp_of
+    for variant_id, partner_ids in index.partners.items():
+        for vp_id in {vp_of[p] for p in partner_ids}:
+            covered[vp_id, vp_of[variant_id]] += 1
+    return {(min(pair), max(pair)) for pair, n in covered.items()
+            if n == len(index.variants[pair[1]])}
+
+
+def _push(index, tree_of, todo, pairs, made: int) -> set[str]:
+    """Push each pair, given as either orientation, on the heap of each tree
+    holding an end, keyed by ``_met`` where that tree's pair list first meets
+    it, and stamped ``made``; return those trees."""
+    grown, vp_of = set(), index.vp_of
+    for one, other in pairs:
+        links = [(v, p) for v in index.variants[one] for p in index.partners.get(v, ())
+                 if vp_of[p] == other]
+        for root in {tree_of[one], tree_of[other]} if links else ():
+            meets = (links if tree_of[one] == root else []) + (
+                [(p, v) for v, p in links] if tree_of[other] == root else [])
+            heappush(todo[root], (*_met(index, *min(meets)), made))
+            grown.add(root)
+    return grown
 
 
 def _eligibility(index, source: str, target: str):
@@ -314,7 +327,14 @@ def interacting_pairs(
     """
     links = vm._links
     _known(links.variants, root_vp_id)
-    return [pair[2:] for pair in _pairs(links, tree_variants(links, root_vp_id))]
+    pairs, seen, vp_of = [], set(), links.vp_of
+    for variant_id in sorted(tree_variants(links, root_vp_id)):
+        for partner_id in sorted(links.partners.get(variant_id, ())):
+            key = frozenset((vp_of[variant_id], vp_of[partner_id]))
+            if key not in seen:
+                seen.add(key)
+                pairs.append(_met(links, variant_id, partner_id)[2:])
+    return pairs
 
 
 def check_completeness(
@@ -412,19 +432,21 @@ def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
     together, can only add directed paths. So the changed pairs are the
     source's with each variation point it gained partners in, and every
     pair of a moved variation point (its position, or the forest check,
-    can change); any other refused pair stays refused. Each tree keeps a
-    heap of its pairs still to decide, keyed by where its pair list meets
-    them; a merge pushes each changed pair where each tree listing it now
-    meets it, and an entry older than its pair's stamp is dropped: a change
-    stamps both orientations with the merges made, a refusal its own with
-    one more. Tree sizes change by the variants removed and moved.
+    can change); any other refused pair stays refused, as does a pair
+    complete in neither orientation at the start. Each tree keeps a heap of
+    its pairs still to decide, keyed by where its pair list meets them;
+    ``_push`` lists the pairs ``_complete_pairs`` finds, then each merge's
+    changed pairs, and an entry older than its pair's stamp is dropped: a
+    change stamps both orientations with the merges made, a refusal its own
+    with one more. Tree sizes change by the variants removed and moved.
     """
     index = _Index(plm)
     tree_of, size, todo = {}, {}, {}
     for vp in roots(plm.vm):
         variants = tree_variants(index, vp.id)
         tree_of.update((index.vp_of[v], vp.id) for v in variants)
-        size[vp.id], todo[vp.id] = len(variants), [(*e, 0) for e in _pairs(index, variants)]
+        size[vp.id], todo[vp.id] = len(variants), []
+    _push(index, tree_of, todo, _complete_pairs(index), 0)
     heap = [(-n, root) for root, n in size.items()]  # entries of outdated size are skipped
     heapify(heap)
     # By oriented pair, the merge count from which its heap entries are current.
@@ -463,14 +485,6 @@ def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
                     for p in index.partners.get(v, ()))
         for one, other in redo | {(vp_id, target) for vp_id in touched}:
             current_from[one, other] = current_from[other, one] = len(merges)
-        grown = {source_tree, target_tree} & size.keys()
-        for one, other in redo:
-            links = [(v, p) for v in index.variants[one] for p in index.partners.get(v, ())
-                     if index.vp_of[p] == other]
-            for root in {tree_of[one], tree_of[other]} if links else ():
-                meets = (links if tree_of[one] == root else []) + (
-                    [(p, v) for v, p in links] if tree_of[other] == root else [])
-                heappush(todo[root], (*_met(index, *min(meets)), len(merges)))
-                grown.add(root)
-        for root in grown:
+        grown = _push(index, tree_of, todo, redo, len(merges))
+        for root in grown | ({source_tree, target_tree} & size.keys()):
             heappush(heap, (-size[root], root))

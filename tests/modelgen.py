@@ -79,27 +79,98 @@ def random_plm(
                 from_id=a.id, to_id=b.id, kind=rng.choice(KINDS),
                 level=InteractionLevel.VARIANT, requires=rng.random() < 0.3))
 
-    layered = LayeredModel()
-    bindings: tuple[Binding, ...] = ()
+    layered, bindings = LayeredModel(), ()
     if with_bindings and variants and rng.random() < 0.7:
-        n_acts = rng.randint(1, min(30, 2 * len(variants)))
-        activities = tuple(
-            Activity(id=f"act{k:03d}", name=f"Task {k}", layer=Layer.FUNCTIONAL,
-                     artifact_id="tasks", mandatory=False)
-            for k in range(n_acts)
-        )
-        layered = LayeredModel(
-            artifacts=(FunctionalArtifact(
-                id="tasks", layer=Layer.FUNCTIONAL,
-                activity_ids=tuple(a.id for a in activities)),),
-            activities=activities,
-        )
-        bindings = tuple(
-            Binding(kind=BindingKind.ACTIVITY_VARIANT,
-                    source_id=a.id, target_id=rng.choice(variants).id)
-            for a in activities
-        )
+        layered, bindings = _tasks(rng, variants, rng.randint(1, min(30, 2 * len(variants))))
 
+    plm = ProductLineModel(
+        vm=VariabilityModel(
+            variation_points=tuple(vps),
+            variants=tuple(variants),
+            variant_interactions=tuple(interactions),
+            refinements=tuple(refinements),
+        ),
+        artifacts=layered,
+        bindings=bindings,
+    )
+    assert validate(plm) == []
+    return plm
+
+
+def _tasks(
+    rng: random.Random, variants: list[Variant], n_acts: int
+) -> tuple[LayeredModel, tuple[Binding, ...]]:
+    """One artifact of ``n_acts`` activities, each bound to a random variant."""
+    activities = tuple(
+        Activity(id=f"act{k:03d}", name=f"Task {k}", layer=Layer.FUNCTIONAL,
+                 artifact_id="tasks", mandatory=False)
+        for k in range(n_acts)
+    )
+    layered = LayeredModel(
+        artifacts=(FunctionalArtifact(
+            id="tasks", layer=Layer.FUNCTIONAL,
+            activity_ids=tuple(a.id for a in activities)),),
+        activities=activities,
+    )
+    return layered, tuple(
+        Binding(kind=BindingKind.ACTIVITY_VARIANT,
+                source_id=a.id, target_id=rng.choice(variants).id)
+        for a in activities
+    )
+
+
+def random_forest(rng: random.Random, max_vps: int = 250) -> ProductLineModel:
+    """A random valid forest whose variation points all have one width.
+
+    Four in ten variation points are roots; each other one refines a random
+    earlier variant. Random interactions join variants of distinct
+    variation points. Planted pairs add two variation points each: wired
+    variant to variant, so the pair is complete both ways, or every variant
+    of one end to a single variant of the other, so it is complete one way
+    only. Later random interactions may spoil either. Equal widths make
+    every pair a tie, which ``reduce`` orients by the tree that meets it.
+    """
+    width, n_random = rng.randint(1, 4), rng.randint(2, max_vps)
+    n_pairs = rng.randint(0, max(1, n_random // 20))
+    vps: list[VariationPoint] = []
+    variants: list[Variant] = []
+    refinements: list[VariabilityRefinement] = []
+    depth_of: dict[str, int] = {}
+    interactions: set[Interaction] = set()
+
+    def add_vp() -> list[Variant]:
+        i, depth = len(vps), 0
+        vp_id = f"vp{i:04d}"
+        if variants and rng.random() >= 0.4:
+            parent = rng.choice(variants).id
+            refinements.append(VariabilityRefinement(child_vp_id=vp_id, parent_variant_id=parent))
+            depth = depth_of[parent] + 1
+        vps.append(VariationPoint(id=vp_id, name=f"Choice {i}", level=LAYERS[min(depth, 2)]))
+        own = [Variant(id=f"v{i:04d}.{j}", name=f"Option {i}.{j}", vp_id=vp_id)
+               for j in range(width)]
+        depth_of.update((v.id, depth) for v in own)
+        variants.extend(own)
+        return own
+
+    def add_edge(a: Variant, b: Variant) -> None:
+        a, b = (a, b) if rng.random() < 0.5 else (b, a)
+        interactions.add(Interaction(
+            from_id=a.id, to_id=b.id, kind=rng.choice(KINDS),
+            level=InteractionLevel.VARIANT, requires=rng.random() < 0.3))
+
+    for _ in range(n_random):
+        add_vp()
+    for _ in range(n_pairs):
+        left, right = add_vp(), add_vp()
+        hub = [right[rng.randrange(width)]] * width if rng.random() < 0.5 else right
+        for a, b in zip(left, hub):
+            add_edge(a, b)
+    for _ in range(rng.randint(0, 3 * len(vps))):
+        a, b = rng.sample(variants, 2)
+        if a.vp_id != b.vp_id:
+            add_edge(a, b)
+
+    layered, bindings = _tasks(rng, variants, rng.randint(1, 30))
     plm = ProductLineModel(
         vm=VariabilityModel(
             variation_points=tuple(vps),

@@ -473,13 +473,42 @@ class TestReduce:
                     "Binding")]
         assert merging == 33
 
+    def test_a_pair_complete_neither_way_is_never_decided(self, monkeypatch):
+        decided = watch_eligibility(monkeypatch)
+        plm = ProductLineModel(vm=two_vps_one_edge())
+        reduced, trace = reduce(plm)
+        assert reduced is plm
+        assert trace == ReductionTrace(pass_count=1)
+        assert decided == []
+
+    @pytest.mark.parametrize("hub,decisions", [
+        ("a0", [("a", "b")]),
+        # Tree ``a`` comes first and lists the pair as ``(a, b)``, which is
+        # not complete; the refusal leaves ``(b, a)`` to tree ``b``.
+        ("b0", [("a", "b"), ("b", "a")]),
+    ])
+    def test_a_tie_complete_one_way_still_merges(self, monkeypatch, hub, decisions):
+        other = "b" if hub[0] == "a" else "a"
+        plm = ProductLineModel(vm=VariabilityModel(
+            variation_points=(vp("a"), vp("b")),
+            variants=tuple(variant(f"{n}{i}", n) for n in "ab" for i in range(3)),
+            variant_interactions=tuple(edge(hub, f"{other}{i}") for i in range(3)),
+        ))
+        decided = watch_eligibility(monkeypatch)
+        reduced, trace = reduce(plm)
+        assert decided == decisions
+        assert [(m.source_vp_id, m.target_vp_id, m.pairing()) for m in trace.merges] == [
+            (hub[0], other, {f"{other}{i}": hub for i in range(3)})]
+        expected = reference_reduction.reduce(plm)
+        assert (serialize(reduced), serialize(trace)) == tuple(map(serialize, expected))
+
     def test_a_refused_pair_is_decided_again_only_once_it_changes(self, monkeypatch):
         """``reduce`` calls ``_eligibility`` no more often per model than when
-        these counts were taken; one that forgot its refusals would call it
-        9,506 times in all instead of 6,373."""
-        eligibility, decided = reduction._eligibility, []
-        monkeypatch.setattr(reduction, "_eligibility",
-                            lambda *pair: decided.append(pair[1:]) or eligibility(*pair))
+        these counts were taken, 1,344 times in all; one that forgot its
+        refusals would call it 1,883 times, and one that listed every
+        interacting pair at the start, not only those complete one way or
+        both, 6,373 times."""
+        decided = watch_eligibility(monkeypatch)
         counts, merges = [], 0
         for seed in range(20):
             decided.clear()
@@ -487,9 +516,17 @@ class TestReduce:
             counts.append(len(decided))
             merges += len(trace.merges)
         assert merges == 389
-        pinned = [593, 111, 79, 288, 89, 823, 210, 156, 280, 91,
-                  761, 214, 768, 335, 21, 264, 322, 598, 26, 344]
+        pinned = [152, 33, 7, 48, 17, 204, 24, 16, 36, 7,
+                  201, 27, 155, 57, 3, 97, 60, 124, 1, 75]
         assert [n for n, most in zip(counts, pinned) if n > most] == []
+
+
+def watch_eligibility(monkeypatch) -> list[tuple[str, str]]:
+    """The (source, target) pairs ``reduction._eligibility`` decides from now on."""
+    eligibility, decided = reduction._eligibility, []
+    monkeypatch.setattr(reduction, "_eligibility",
+                        lambda *pair: decided.append(pair[1:]) or eligibility(*pair))
+    return decided
 
 
 class TestVerifyTrace:

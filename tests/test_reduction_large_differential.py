@@ -5,7 +5,9 @@ variation points, so ``test_reduction_differential`` stays at 200. Here
 ``ovmkit.reduction.reduce`` must give the same model bytes and the same
 trace bytes as ``reference_indexed_reduction.reduce``, the indexed reduction
 that rebuilt whole pair lists, on random models of up to 2,000 variation
-points and on lifted models. Each test reports every seed that differs.
+points, on lifted models, and on forests of equal-width variation points
+with planted pairs, where every pair is a tie. Each test reports every seed
+that differs.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import random
 
 import reference_indexed_reduction
-from modelgen import random_layered, random_plm
+from modelgen import random_forest, random_layered, random_plm
 from ovmkit.derivation import DerivationError, derive_initial_vm
 from ovmkit.documents import serialize
 from ovmkit.reduction import reduce
@@ -29,6 +31,14 @@ def _differs(plm) -> bool:
 def test_random_models_up_to_2000_vps():
     mismatches = [seed for seed in range(100) if _differs(
         random_plm(random.Random(seed), max_vps=2000, max_variants=8000))]
+    assert mismatches == []
+
+
+def test_equal_width_forests():
+    """Ties are where a tree can list a pair in the orientation that is not
+    complete; planted pairs complete one way or both must still merge."""
+    mismatches = [seed for seed in range(300)
+                  if _differs(random_forest(random.Random(seed), max_vps=250))]
     assert mismatches == []
 
 
