@@ -13,25 +13,29 @@ the default read when the key is absent and left out when writing. Rows go
 in reading order, which fixes the first error a faulty document reports.
 
 An array of records is read a column at a time: one ``map`` per field, a
-check of the whole column by exact type (``True`` is not ``1``), then
-``map(make, *columns)``. At any doubt the array is read again record by
-record, which raises the error of the document's first fault.
+check of the whole column by exact type (``True`` is not ``1``), then the
+records in bulk (``_build``: a dataclass's fields set a column at a time in
+field order, as its ``__init__`` sets them, then ``__post_init__``). At any
+doubt the array is read again record by record, which raises the error of
+the document's first fault.
 
 The writer makes text, not dicts: each table keeps its rows sorted by key in
-one ``str.format`` template per indentation, filled a column at a time, and
-each codec writes its value's JSON text (strings through the C escaper of
-``json.encoder``). Each line is written once, at its final indentation:
-a multi-line text is given the pad of the line it starts on, and nothing is
-re-indented afterwards. The bytes are those of ``json.dumps(doc,
-ensure_ascii=False, indent=2, sort_keys=True)`` plus a newline. A string
-with a lone surrogate has no UTF-8 form, so the reader rejects it, naming
-the field; the check runs only on a text that holds a ``\\u`` escape.
+one ``%`` template per indentation, filled over the zipped columns of its
+texts, and each codec writes its value's JSON text (strings through the C
+escaper of ``json.encoder``). Each line is written once, at its final
+indentation: a multi-line text is given the pad of the line it starts on,
+and nothing is re-indented afterwards. The bytes are those of
+``json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True)`` plus a
+newline. A string with a lone surrogate has no UTF-8 form, so the reader
+rejects it, naming the field; the check runs only on a text that holds a
+``\\u`` escape.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import deque
 from dataclasses import fields
 from functools import cache, partial
 from itertools import chain, groupby, repeat
@@ -320,8 +324,8 @@ class _Table:
     default=_REQUIRED)`` in reading order. An attribute is a name, a tuple
     position (``make`` is ``tuple``; rows in position order), or a dotted
     path into the written record whose last name is the keyword ``make`` gets.
-    The writer keeps the rows in key order, in one template per pad it is
-    asked for, made on first use."""
+    The writer keeps the rows in key order, in one ``%`` template per pad it
+    is asked for, made on first use."""
 
     def __init__(self, make, *rows):
         rows = [row + (_STRING, _REQUIRED)[len(row) - 2:] for row in rows]
@@ -337,9 +341,10 @@ class _Table:
                       for key, attr, codec, default in rows}
             cls, constants = (make.func, make.keywords) if type(make) is partial else (make, {})
             names = range(len(rows)) if make is tuple else [f.name for f in fields(cls)]
-            self.build = zip if make is tuple else partial(map, cls)
-            self.sources = [source.get(name) or (lambda _, value=constants[name]: repeat(value))
-                            for name in names]
+            self.build = (lambda _, *columns: zip(*columns)) if make is tuple else partial(
+                _build, cls, names)
+            self.sources = [source.get(name) or (lambda items, value=constants[name]:
+                                                 repeat(value, len(items))) for name in names]
         self.writer = cache(partial(_writer, sorted(rows, key=itemgetter(0))))
 
     def read(self, raw, where: str):
@@ -358,7 +363,7 @@ class _Table:
         columns = [source(items) for source in self.sources]
         if None in columns:
             return None
-        return tuple(self.build(*columns))
+        return tuple(self.build(len(items), *columns))
 
     def text(self, record, pad: str) -> str:
         """The record's text on a line that starts with ``pad``."""
@@ -367,7 +372,20 @@ class _Table:
     def items(self, records, pad: str) -> list[str]:
         """Each record's text, a field at a time."""
         template, slots = self.writer(pad)
-        return list(map(template, *[map(text, map(get, records)) for get, text in slots]))
+        return list(map(template.__mod__, zip(*[map(text, map(get, records))
+                                                for get, text in slots])))
+
+
+def _build(cls, names, n: int, *columns) -> list:
+    """``n`` records of a dataclass from its columns, one per field in field order,
+    each built as its generated ``__init__`` builds one (so all get the same
+    attribute layout): its fields set in that order, then ``__post_init__``, if any."""
+    records = list(map(object.__new__, repeat(cls, n)))
+    for name, column in zip(names, columns):
+        deque(map(object.__setattr__, records, repeat(name), column), 0)
+    if post_init := getattr(cls, "__post_init__", None):
+        deque(map(post_init, records), 0)
+    return records
 
 
 def _field(key: str, column, default, items: list):
@@ -382,21 +400,22 @@ def _field(key: str, column, default, items: list):
 
 
 def _writer(rows, pad: str):
-    """A ``str.format`` template for a record on a line that starts with ``pad``, and
-    per slot (in key order) a getter and a text function. An optional row's slot holds
+    """A ``%`` template for a record on a line that starts with ``pad``, and per slot
+    (in key order) a getter and a text function; the template is filled from a tuple of
+    the slots' texts. Its key text has each ``%`` doubled. An optional row's slot holds
     ``"key": value`` and a separator, or "", before the next required row (none is last)."""
     item = ",\n" + pad + "  "  # between the fields of the record
     parts, slots, pending = [], [], ""
     for key, attr, codec, default in rows:
         text = partial(codec.text, pad=pad + "  ") if codec.lines else codec.text
         if default is _REQUIRED:
-            parts.append(pending + _escape(key) + ": {}")
+            parts.append(pending + _escape(key).replace("%", "%%") + ": %s")
             pending = ""
         else:
             text = _slot(_escape(key) + ": ", text, item, default)
-            pending += "{}"
+            pending += "%s"
         slots.append(((itemgetter if isinstance(attr, int) else attrgetter)(attr), text))
-    return f"{{{{\n{pad}  {item.join(parts)}\n{pad}}}}}".format, slots
+    return f"{{\n{pad}  {item.join(parts)}\n{pad}}}", slots
 
 
 def _slot(prefix: str, text, after: str, default):

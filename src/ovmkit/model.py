@@ -447,6 +447,7 @@ def _validate_layered(model: LayeredModel) -> list[Violation]:
     _check_unique_ids(model.activities, "activity", out)
     _check_unique_ids(model.artifacts, "artifact", out)
     artifacts, activities = model._index.artifacts, model._index.activities
+    members = {artifact.id: set(artifact.activity_ids) for artifact in artifacts.values()}
 
     for act in model.activities:
         if act.mandatory and act.group is not None:
@@ -463,7 +464,7 @@ def _validate_layered(model: LayeredModel) -> list[Violation]:
                     "activity-layer-match", (act.id, owner.id),
                     f"activity {act.id!r} is on layer {act.layer.value!r} but its "
                     f"artifact {owner.id!r} is on {owner.layer.value!r}"))
-            if act.id not in owner.activity_ids:
+            if act.id not in members[owner.id]:
                 out.append(Violation(
                     "artifact-membership", (act.id, owner.id),
                     f"activity {act.id!r} names artifact {owner.id!r} which does not list it"))

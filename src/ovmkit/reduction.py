@@ -126,14 +126,17 @@ def _complete_pairs(index) -> set[tuple[str, str]]:
 
 
 def _push(index, tree_of, todo, pairs, made: int) -> set[str]:
-    """Push each pair, given as either orientation, on the heap of each tree
+    """Push each pair, given as either orientation, that is complete in at least
+    one (its links cover every variant of one end) on the heap of each tree
     holding an end, keyed by ``_met`` where that tree's pair list first meets
     it, and stamped ``made``; return those trees."""
     grown, vp_of = set(), index.vp_of
     for one, other in pairs:
         links = [(v, p) for v in index.variants[one] for p in index.partners.get(v, ())
                  if vp_of[p] == other]
-        for root in {tree_of[one], tree_of[other]} if links else ():
+        complete = links and (len({v for v, _ in links}) == len(index.variants[one])
+                              or len({p for _, p in links}) == len(index.variants[other]))
+        for root in {tree_of[one], tree_of[other]} if complete else ():
             meets = (links if tree_of[one] == root else []) + (
                 [(p, v) for v, p in links] if tree_of[other] == root else [])
             heappush(todo[root], (*_met(index, *min(meets)), made))
@@ -433,10 +436,11 @@ def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
     source's with each variation point it gained partners in, and every
     pair of a moved variation point (its position, or the forest check,
     can change); any other refused pair stays refused, as does a pair
-    complete in neither orientation at the start. Each tree keeps a heap of
-    its pairs still to decide, keyed by where its pair list meets them;
-    ``_push`` lists the pairs ``_complete_pairs`` finds, then each merge's
-    changed pairs, and an entry older than its pair's stamp is dropped: a
+    complete in neither orientation, at the start or after a merge. Each tree
+    keeps a heap of its pairs still to decide, keyed by where its pair list
+    meets them; ``_push`` lists the pairs ``_complete_pairs`` finds, then
+    those of each merge's changed pairs complete one way or both, and an
+    entry older than its pair's stamp is dropped: a
     change stamps both orientations with the merges made, a refusal its own
     with one more. Tree sizes change by the variants removed and moved.
     """

@@ -13,9 +13,13 @@ values include ``0``, ``1``, ``1.0``, ``true`` and ``false``, which Python
 equality mixes up (``True == 1``, ``0 == False``, ``1.0 == 1``), so the
 readers' checks by exact type are pinned here.
 
+A record read a column at a time must be the record its constructor
+builds, down to the order its fields were set in.
+
 The writer fills one template per record shape a column at a time. Its
 bytes must equal the reference writer's at array sizes 0, 1, 2 and 50,
-with optional fields present and absent and with empty and non-empty lists.
+with optional fields present and absent and with empty and non-empty lists,
+and ids and names holding ``%`` or template braces are written as they are.
 """
 
 from __future__ import annotations
@@ -275,6 +279,87 @@ def test_equal_but_wrongly_typed_values_are_rejected(key, value, message):
     assert _check_same("parse_layered_model", doc) == (documents.ParseError, message)
 
 
+def _built_alike(got, want) -> None:
+    """Same type, equality, hash and text; a dataclass's fields also set in
+    the same order to the same values."""
+    assert (type(got), got, hash(got), repr(got)) == (type(want), want, hash(want), repr(want))
+    if not isinstance(want, tuple):
+        assert list(vars(got).items()) == list(vars(want).items())
+
+
+def _reread(value, edit=None, **kwargs):
+    """``value`` written, its JSON passed through ``edit``, and read back."""
+    doc = json.loads(documents.serialize(value, **kwargs))
+    if edit:
+        edit(doc["body"])
+    parser = {LayeredModel: "parse_layered_model", ProductLineModel: "parse_variability_model",
+              ReductionTrace: "parse_trace"}[type(value)]
+    return getattr(documents, parser)(json.dumps(doc).encode())
+
+
+def test_a_column_read_record_equals_one_its_constructor_builds(monkeypatch):
+    """Every table with a column reader: activities with and without a group,
+    an artifact whose activities arrive unsorted and repeated (its
+    ``__post_init__`` sorts them), interactions at both levels, bindings of
+    both kinds, and the trace's tuple records."""
+    feature, functional = Layer.FEATURE, Layer.FUNCTIONAL
+    material, information = InteractionKind.MATERIAL, InteractionKind.INFORMATION
+    layered = LayeredModel(
+        artifacts=(FunctionalArtifact("F", feature, ("f2", "f1", "f2")),
+                   FunctionalArtifact("U", functional, ("u1",))),
+        activities=(Activity("f1", "one", feature, "F", True),
+                    Activity("f2", "two", feature, "F", False, "g"),
+                    Activity("u1", "three", functional, "U", False)),
+        refinements=(Refinement("U", "f1", RefinementKind.FEATURE),),
+        interactions=(Interaction("f1", "f2", material, InteractionLevel.ARTIFACT, True),
+                      Interaction("f2", "f1", information, InteractionLevel.ARTIFACT)))
+    products = ProductSet((Product("p", ("f2", "f1")),))
+    vm = VariabilityModel(
+        variation_points=(VariationPoint("A", "a", feature), VariationPoint("B", "b", functional)),
+        variants=(Variant("a1", "A1", "A"), Variant("a2", "A2", "A"), Variant("b1", "B1", "B")),
+        variant_interactions=(Interaction("a2", "b1", material, InteractionLevel.VARIANT, True),
+                              Interaction("b1", "a1", information, InteractionLevel.VARIANT)),
+        refinements=(VariabilityRefinement("B", "a1"),))
+    plms = [ProductLineModel(vm, layered, (Binding(BindingKind.ACTIVITY_VARIANT, "f2", "a1"),
+                                           Binding(BindingKind.ACTIVITY_VARIANT, "u1", "b1"))),
+            ProductLineModel(vm, layered, (Binding(BindingKind.ARTIFACT_VP, "F", "A"),
+                                           Binding(BindingKind.ARTIFACT_VP, "U", "B")))]
+    trace = ReductionTrace((MergeRecord(
+        "A", "B", (("b1", "a1"),), (("u1", "b1", "a1"),), (("C", "b1", "a1"),),
+        (("b1", "x", "a1", "x"),)),), 2)
+
+    def unsorted(layered_body):
+        layered_body["artifacts"][0]["activities"] = ["f2", "f1", "f2"]
+
+    per_record = []
+    read = documents._Table.read
+    monkeypatch.setattr(documents._Table, "read",
+                        lambda self, raw, where: per_record.append(where) or read(self, raw, where))
+    got_model, got_products = _reread(layered, unsorted, products=products)
+    got_plms = [_reread(plm, lambda body: unsorted(body["layered"])) for plm in plms]
+    got_trace = _reread(trace)
+    assert [where for where in per_record if "[" in where] == ["body.merges[0]"]
+
+    pairs = list(zip(got_products.products, products.products))
+    for got, want in [(got_model, layered)] + [(got.artifacts, want.artifacts)
+                                               for got, want in zip(got_plms, plms)]:
+        pairs += [pair for name in ("artifacts", "activities", "refinements", "interactions")
+                  for pair in zip(getattr(got, name), getattr(want, name), strict=True)]
+    for got, want in zip(got_plms, plms):
+        pairs += zip(got.bindings, want.bindings, strict=True)
+        pairs += [pair for name in ("variation_points", "variants", "variant_interactions",
+                                    "refinements")
+                  for pair in zip(getattr(got.vm, name), getattr(want.vm, name), strict=True)]
+    merge, = got_trace.merges
+    pairs += [pair for name in ("rebound_bindings", "transferred_refinements",
+                                "transferred_interactions")
+              for pair in zip(getattr(merge, name), getattr(trace.merges[0], name), strict=True)]
+    assert got_model.artifacts[0].activity_ids == ("f1", "f2")
+    assert len(pairs) == 48
+    for got, want in pairs:
+        _built_alike(got, want)
+
+
 # -- the writer at column sizes ----------------------------------------------
 
 SIZES = (0, 1, 2, 50)
@@ -336,3 +421,36 @@ def test_writer_equals_reference_at_column_sizes(n):
         assert data == reference_documents.serialize(value, **kwargs)
         assert data == (json.dumps(json.loads(data), ensure_ascii=False, indent=2,
                                    sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("text", ["%", "%s", "{}", "{0}", "%(id)s %% {{"])
+def test_format_characters_in_ids_and_names_are_written_as_they_are(text):
+    """Ids and names holding ``%`` or template braces: the bytes are
+    ``json.dumps``'s, and reading them back writes the same bytes."""
+    plm = ProductLineModel(
+        VariabilityModel(
+            variation_points=(VariationPoint(text, text, Layer.FEATURE),),
+            variants=(Variant(text + "1", text, text), Variant(text + "2", text, text))),
+        LayeredModel(
+            artifacts=(FunctionalArtifact(text, Layer.FEATURE, (text, text + "a")),),
+            activities=(Activity(text, text, Layer.FEATURE, text, True),
+                        Activity(text + "a", text, Layer.FEATURE, text, False, text))),
+        (Binding(BindingKind.ACTIVITY_VARIANT, text, text + "1"),))
+    trace = ReductionTrace((MergeRecord(text, text + "t", ((text + "1", text),),
+                                        ((text, text, text),), (), ()),), 2)
+    for value, parse in ((plm, documents.parse_variability_model),
+                         (plm.artifacts, lambda data: documents.parse_layered_model(data)[0]),
+                         (trace, documents.parse_trace)):
+        data = documents.serialize(value)
+        assert data == (json.dumps(json.loads(data), ensure_ascii=False, indent=2,
+                                   sort_keys=True) + "\n").encode()
+        assert text in json.loads(data)["body"].__repr__()
+        assert parse(data) == value
+        assert documents.serialize(parse(data)) == data
+
+
+def test_a_percent_sign_in_a_key_is_written_as_it_is():
+    """The writer doubles a key's ``%`` in its template, so it prints as one."""
+    table = documents._Table(tuple, ("100%", 0), ("%s", 1))
+    assert table.text(("x", "y"), "") == json.dumps({"100%": "x", "%s": "y"}, indent=2,
+                                                    sort_keys=True)

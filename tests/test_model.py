@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +15,13 @@ from modelgen import random_plm
 from ovmkit.configs import Configuration, unconstrained_count, validate_config
 from ovmkit.documents import parse_variability_model, serialize
 from ovmkit.model import (
+    Activity,
+    FunctionalArtifact,
     Interaction,
     InteractionKind,
     InteractionLevel,
     Layer,
+    LayeredModel,
     ModelError,
     ProductLineModel,
     VariabilityModel,
@@ -331,6 +335,28 @@ class TestValidate:
         )
         violations = validate(ProductLineModel(vm=vm))
         assert any(v.invariant == "interaction-distinct-vps" for v in violations)
+
+    def test_an_artifact_listing_many_activities_validates_in_linear_time(self):
+        """Each activity's membership is a set lookup, not a scan of its
+        artifact's list: 100,000 activities take seconds at most."""
+        ids = [f"a{i:06}" for i in range(100_000)]
+        model = LayeredModel(
+            artifacts=(FunctionalArtifact("f", Layer.FUNCTIONAL, tuple(ids)),),
+            activities=tuple(Activity(i, i, Layer.FUNCTIONAL, "f", True) for i in ids))
+        started = time.perf_counter()
+        assert validate(ProductLineModel(artifacts=model)) == []
+        assert time.perf_counter() - started < 5.0
+
+    def test_an_activity_is_a_member_of_the_last_record_of_a_duplicate_artifact_id(self):
+        model = LayeredModel(
+            artifacts=(FunctionalArtifact("f", Layer.FUNCTIONAL, ("a",)),
+                       FunctionalArtifact("f", Layer.FUNCTIONAL, ("b",))),
+            activities=(Activity("a", "A", Layer.FUNCTIONAL, "f", True),
+                        Activity("b", "B", Layer.FUNCTIONAL, "f", True)))
+        assert list(map(str, validate(ProductLineModel(artifacts=model)))) == [
+            "unique-ids [f]: duplicate artifact id 'f'",
+            "artifact-membership [a, f]: activity 'a' names artifact 'f' which does not list it",
+        ]
 
 
 class TestNormalization:
