@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 model or validation error, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import dataclass
@@ -158,11 +159,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
+    enabled = gc.isenabled()
+    gc.disable()  # a run's models are trees of records: a collection finds no garbage
     try:
         return args.run(args)
     except (ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, BudgetExceededError) else EXIT_MODEL_ERROR
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _read(path: str) -> bytes:

@@ -11,6 +11,10 @@ over one mutable path, which cuts a branch as soon as it breaks one of them,
 serves ``enumerate_valid`` and ``count_valid``. Counting, enumeration and
 ``validate_config`` refuse a model that ``validate`` rejects.
 
+``enumerate_valid`` sorts each valid selection's ids once, sorts the list of
+those tuples once, and builds the configurations in bulk (``model._build``),
+each carrying its tuple: ``sorted_ids()`` returns it without a second sort.
+
 ``_search_space`` alone resolves and checks the enumeration budget, and
 counts the unconstrained space once; ``_counts`` returns that count with the
 valid one, for ``configs --count`` and ``build_report``.
@@ -22,6 +26,7 @@ import os
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 from .model import (
@@ -29,6 +34,7 @@ from .model import (
     ProductLineModel,
     VariabilityModel,
     Violation,
+    _build,
     check_valid,
 )
 
@@ -62,8 +68,19 @@ class Configuration:
 
     selection: frozenset[str] = frozenset()
 
-    def sorted_ids(self) -> tuple[str, ...]:
+    @cached_property
+    def _sorted_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.selection))
+
+    def sorted_ids(self) -> tuple[str, ...]:
+        """The selected ids in order, one tuple per configuration: the one
+        ``enumerate_valid`` sorted the configuration by, or else sorted on
+        the first call. The tuple is no field, and neither pickled nor
+        copied; ``replace`` builds a configuration that has none yet."""
+        return self._sorted_ids
+
+    def __getstate__(self) -> dict:
+        return {"selection": self.selection}
 
 
 def _too_long(raw: str) -> str | None:
@@ -186,11 +203,13 @@ def enumerate_valid(
     """All zero-violation configurations, ordered lexicographically by their
     sorted variant ids. Refuses when the unconstrained space exceeds the
     budget. Each leaf of the walk adds its sorted ids to one list, which is
-    sorted once; the configurations are built in order."""
+    sorted once; the configurations are then built in bulk, in order, each
+    carrying its tuple of that list as its ``sorted_ids()``."""
     _, choices, requires, roots = _search_space(plm, budget)
     found = [tuple(sorted(chosen.values())) for chosen in _leaves(choices, requires, roots)]
     found.sort()
-    return list(map(Configuration, map(frozenset, found)))
+    return _build(Configuration, ("selection", "_sorted_ids"), len(found),
+                  map(frozenset, found), found)
 
 
 def count_valid(plm: ProductLineModel, budget: int | None = None) -> int:

@@ -14,10 +14,10 @@ in reading order, which fixes the first error a faulty document reports.
 
 An array of records is read a column at a time: one ``map`` per field, a
 check of the whole column by exact type (``True`` is not ``1``), then the
-records in bulk (``_build``: a dataclass's fields set a column at a time in
-field order, as its ``__init__`` sets them, then ``__post_init__``). At any
-doubt the array is read again record by record, which raises the error of
-the document's first fault.
+records in bulk (``model._build``: a dataclass's fields set a column at a
+time in field order, as its ``__init__`` sets them, then ``__post_init__``).
+At any doubt the array is read again record by record, which raises the
+error of the document's first fault.
 
 The writer makes text, not dicts: each table keeps its rows sorted by key in
 one ``%`` template per indentation, filled over the zipped columns of its
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import deque
 from dataclasses import fields
 from functools import cache, partial
 from itertools import chain, groupby, repeat
@@ -65,6 +64,7 @@ from .model import (
     VariabilityRefinement,
     VariationPoint,
     Variant,
+    _build,
     check_product_includes,
     check_valid,
     validate,
@@ -374,18 +374,6 @@ class _Table:
         template, slots = self.writer(pad)
         return list(map(template.__mod__, zip(*[map(text, map(get, records))
                                                 for get, text in slots])))
-
-
-def _build(cls, names, n: int, *columns) -> list:
-    """``n`` records of a dataclass from its columns, one per field in field order,
-    each built as its generated ``__init__`` builds one (so all get the same
-    attribute layout): its fields set in that order, then ``__post_init__``, if any."""
-    records = list(map(object.__new__, repeat(cls, n)))
-    for name, column in zip(names, columns):
-        deque(map(object.__setattr__, records, repeat(name), column), 0)
-    if post_init := getattr(cls, "__post_init__", None):
-        deque(map(post_init, records), 0)
-    return records
 
 
 def _field(key: str, column, default, items: list):

@@ -18,10 +18,11 @@ with violations, through ``check_valid``.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 from operator import attrgetter, lt
 from types import MappingProxyType, SimpleNamespace
 
@@ -179,6 +180,28 @@ def _sorted_unique(items, cls=None) -> tuple:
 def _normalize(obj, **types) -> None:
     for name, cls in types.items():
         object.__setattr__(obj, name, _sorted_unique(getattr(obj, name), cls))
+
+
+def _build(cls, names, n: int, *columns) -> list:
+    """``n`` records of a dataclass from its columns, one per name of ``names``,
+    without an ``__init__`` call each. With the fields in field order as names,
+    each is built as its generated ``__init__`` builds one (so all get the same
+    attribute layout): its fields set in that order, then ``__post_init__``, if
+    any. A name past the fields sets an attribute that is no field, such as a
+    value the class would otherwise compute on demand. The document reader
+    builds its records here, and ``enumerate_valid`` its configurations.
+
+    A first, discarded record is given every name before the others exist.
+    CPython lets a class's instances share one key table only while few of
+    them exist, so names set after ``n`` records are made would give each
+    record a dict of its own, about 230 bytes more."""
+    deque(map(object.__setattr__, repeat(object.__new__(cls)), names, repeat(None)), 0)
+    records = list(map(object.__new__, repeat(cls, n)))
+    for name, column in zip(names, columns):
+        deque(map(object.__setattr__, records, repeat(name), column), 0)
+    if post_init := getattr(cls, "__post_init__", None):
+        deque(map(post_init, records), 0)
+    return records
 
 
 def _grouped(pairs) -> dict[str, tuple[str, ...]]:

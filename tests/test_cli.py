@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from conftest import GOLDEN_DIR
+import reference_configs
 from modelgen import random_layered, random_plm
 from ovmkit import configs, corpus_path, documents
 from ovmkit.cli import ReductionReport, build_parser, build_report, main
@@ -706,6 +708,28 @@ def huge_grid_path(tmp_path_factory) -> Path:
     return grid_path(tmp_path_factory.mktemp("huge"), 4301)
 
 
+@pytest.mark.parametrize("seed", range(50))
+def test_enumerate_prints_the_reference_listing(capsys, tmp_path, seed):
+    """``configs --enumerate``, as text and as JSON, prints exactly the listing
+    of the generate-and-test oracle (29 of the 50 models list at least one
+    configuration). A fourth of the models keep their bindings and
+    interactions, a fourth drop each, and a fourth drop both."""
+    plm = random_plm(random.Random(seed), max_vps=10, max_variants=30)
+    if seed % 2:
+        plm = replace(plm, bindings=())
+    if seed % 4 >= 2:
+        plm = replace(plm, vm=replace(plm.vm, variant_interactions=()))
+    path = tmp_path / "model.json"
+    path.write_bytes(serialize(plm))
+    listing = [c.sorted_ids() for c in reference_configs.enumerate_valid(plm)]
+    text = "".join(f"{' '.join(ids) or '(empty)'}\n" for ids in listing)
+    payload = json.dumps({"configurations": [list(ids) for ids in listing]},
+                         ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    for fmt, out in (("table", text), ("json", payload)):
+        assert run(capsys, "configs", "-i", str(path), "--enumerate", "--format", fmt) == (
+            0, out, "")
+
+
 class TestCountsOfOver4300Digits:
     def test_count_over_the_budget_in_a_child(self, huge_grid_path):
         result = run_child("configs", "-i", str(huge_grid_path), "--count", "--budget", "1")
@@ -777,3 +801,42 @@ class TestUsage:
         assert usage.startswith(f"usage: ovmkit {command[0]} [-h] ")
         code, out, err = run(capsys, *command, "--budget", budget)
         assert (code, out, err) == (2, "", f"{usage}{error}{text}\n")
+
+
+class TestCollector:
+    """``main`` runs the command with the cyclic collector off and leaves it
+    as it found it, whichever way the command ends."""
+
+    @pytest.fixture(params=[True, False], ids=["on", "off"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("args, code", [
+        (["--count"], 0), (["--enumerate"], 0), (["--count", "--budget", "1"], 3)],
+        ids=["count", "enumerate", "budget"])
+    def test_a_configs_run(self, capsys, monkeypatch, collector, engine_plm_path, args, code):
+        seen = []
+        search = configs._search_space
+        monkeypatch.setattr(configs, "_search_space",
+                            lambda *a: seen.append(gc.isenabled()) or search(*a))
+        assert run(capsys, "configs", "-i", str(engine_plm_path), *args)[0] == code
+        assert (seen, gc.isenabled()) == ([False], collector)
+
+    @pytest.mark.parametrize("args, code", [
+        (["configs", "-i", str(corpus_path("negative", "dangling-variant.json")), "--count"], 1),
+        (["mystify"], 2), ([], 2)], ids=["model-error", "unknown-command", "no-command"])
+    def test_a_failed_run(self, capsys, collector, args, code):
+        assert run(capsys, *args)[0] == code
+        assert gc.isenabled() == collector
+
+    def test_an_unexpected_exception(self, monkeypatch, collector, engine_plm_path):
+        def crash(*args):
+            raise RuntimeError("crash")
+
+        monkeypatch.setattr(configs, "_counts", crash)
+        with pytest.raises(RuntimeError):
+            main(["configs", "-i", str(engine_plm_path), "--count"])
+        assert gc.isenabled() == collector

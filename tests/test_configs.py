@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
+import pickle
+from dataclasses import asdict, fields, replace
 
 import pytest
 
+from ovmkit import configs
 from ovmkit.cli import build_report
 from ovmkit.configs import (
     BudgetExceededError,
@@ -241,6 +243,51 @@ class TestEnumerate:
             assert len(valid) <= unconstrained_count(plm.vm)
             for one in valid:
                 assert validate_config(plm, one) == []
+
+
+class TestCarriedSortedIds:
+    """``enumerate_valid`` gives each configuration the tuple it sorted the
+    list by; nothing else about the configuration may show it."""
+
+    @pytest.fixture
+    def enumerated(self, engine_plm, logistics_plm):
+        valid = [c for plm in (engine_plm, logistics_plm, hierarchy_fixture())
+                 for c in enumerate_valid(plm)]
+        assert len(valid) == 2 + 16 + 3
+        return valid
+
+    def test_it_is_the_selection_sorted_and_the_same_object_each_time(self, enumerated):
+        for c in enumerated:
+            assert c.sorted_ids() == tuple(sorted(c.selection))
+            assert c.sorted_ids() is c.sorted_ids()
+
+    def test_it_is_not_sorted_again(self, enumerated, monkeypatch):
+        expected = [tuple(sorted(c.selection)) for c in enumerated]
+        monkeypatch.setattr(configs, "sorted", None, raising=False)  # a sort would raise
+        assert [c.sorted_ids() for c in enumerated] == expected
+
+    def test_a_configuration_built_otherwise_sorts_on_demand(self, monkeypatch):
+        assert cfg("b", "c", "a").sorted_ids() == ("a", "b", "c")
+        assert Configuration().sorted_ids() == ()
+        monkeypatch.setattr(configs, "sorted", None, raising=False)
+        with pytest.raises(TypeError):
+            cfg("b", "a").sorted_ids()
+
+    def test_it_equals_a_constructed_one_in_all_but_the_tuple(self, enumerated):
+        for c in enumerated:
+            fresh = Configuration(selection=c.selection)
+            assert (c == fresh, hash(c), repr(c)) == (True, hash(fresh), repr(fresh))
+            assert fields(c) == fields(fresh) and [f.name for f in fields(c)] == ["selection"]
+            assert asdict(c) == asdict(fresh) == {"selection": c.selection}
+            assert pickle.dumps(c) == pickle.dumps(fresh)
+            again = pickle.loads(pickle.dumps(c))
+            assert again == c and again.sorted_ids() == c.sorted_ids()
+
+    def test_replace_sorts_the_new_selection(self, enumerated):
+        c = enumerated[0]
+        other = replace(c, selection=frozenset({"zz", "aa", "mm"}))
+        assert other.sorted_ids() == ("aa", "mm", "zz")
+        assert replace(c).sorted_ids() == c.sorted_ids()
 
 
 def bind(plm, *variant_ids):

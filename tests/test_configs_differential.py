@@ -47,9 +47,13 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=250, database=None
 
 def _outcome(enumerate_fn, plm):
     try:
-        return [c.sorted_ids() for c in enumerate_fn(plm, BUDGET)]
+        valid = enumerate_fn(plm, BUDGET)
     except BudgetExceededError as exc:
         return "refused", exc.unconstrained
+    listed = [c.sorted_ids() for c in valid]
+    # The ids a configuration carries must be its selection's, or they could hide a wrong one.
+    assert listed == [tuple(sorted(c.selection)) for c in valid]
+    return listed
 
 
 def same_configurations(plm) -> bool:

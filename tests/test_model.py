@@ -6,6 +6,8 @@ import contextlib
 import itertools
 import random
 import time
+import tracemalloc
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,7 @@ from ovmkit.model import (
     VariabilityRefinement,
     VariationPoint,
     Variant,
+    _build,
     roots,
     tree_size,
     validate,
@@ -410,3 +413,32 @@ def test_root_sizes_sum_to_variant_count(seed):
     plm = random_plm(random.Random(seed))
     total = sum(tree_size(plm.vm, root.id) for root in roots(plm.vm))
     assert total == len(plm.vm.variants)
+
+
+@pytest.mark.parametrize("extra", [(), ("cached",)], ids=["fields", "and-an-attribute"])
+def test_records_built_in_bulk_take_the_memory_of_records_built_one_by_one(extra):
+    """A class whose first records ``_build`` makes keeps one key table for all
+    of its instances, as one whose records its ``__init__`` makes does: a
+    record of three fields takes about 100 bytes both ways, where one with a
+    dict of its own would take over 300."""
+    n = 2000
+    column = list(range(1000, 1000 + n))
+
+    def bytes_per_record(build) -> float:
+        @dataclass(frozen=True)
+        class Record:
+            a: int
+            b: int
+            c: int
+
+        tracemalloc.start()
+        try:
+            records = build(Record)
+            return tracemalloc.get_traced_memory()[0] / len(records)
+        finally:
+            tracemalloc.stop()
+
+    names = ["a", "b", "c", *extra]
+    bulk = bytes_per_record(lambda cls: _build(cls, names, n, *[column] * len(names)))
+    one_by_one = bytes_per_record(lambda cls: list(map(cls, column, column, column)))
+    assert bulk < 1.25 * one_by_one
