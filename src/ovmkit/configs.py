@@ -187,14 +187,17 @@ def validate_config(plm: ProductLineModel, cfg: Configuration) -> list[Violation
                 f"interaction ({edge.from_id!r}, {edge.to_id!r}) requires both "
                 f"variants selected together"))
 
-    bound_variants = set(plm._variant_of.values())
-    if bound_variants:
-        for variant_id in sorted(cfg.selection):
-            if variant_id not in bound_variants:
-                out.append(Violation(
-                    "variant-unbound", (variant_id,),
-                    f"selected variant {variant_id!r} binds no activity"))
+    for variant_id in sorted(_unbound(plm).intersection(cfg.selection)):
+        out.append(Violation(
+            "variant-unbound", (variant_id,), f"selected variant {variant_id!r} binds no activity"))
     return out
+
+
+def _unbound(plm: ProductLineModel) -> set[str]:
+    """The variants that bind no activity, when any variant binds one: no
+    configuration may select them."""
+    bound = plm._variant_of.values()
+    return plm.vm._index.vp_of.keys() - bound if bound else set()
 
 
 def enumerate_valid(
@@ -247,11 +250,7 @@ def _search_space(plm: ProductLineModel, budget: int | None):
     count = unconstrained_count(vm)
     if count > budget:
         raise BudgetExceededError(count, budget)
-    index = vm._index
-    excluded: set[str] = set()
-    bound = plm._variant_of.values()
-    if bound:
-        excluded.update(index.vp_of.keys() - bound)
+    index, excluded = vm._index, _unbound(plm)
     requires: dict[str, list[tuple[str, str, bool]]] = defaultdict(list)
     for edge in vm.variant_interactions:
         a, b = edge.from_id, edge.to_id

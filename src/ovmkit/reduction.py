@@ -128,8 +128,8 @@ def _complete_pairs(index) -> set[tuple[str, str]]:
 def _push(index, tree_of, todo, pairs, made: int) -> set[str]:
     """Push each pair, given as either orientation, that is complete in at least
     one (its links cover every variant of one end) on the heap of each tree
-    holding an end, keyed by ``_met`` where that tree's pair list first meets
-    it, and stamped ``made``; return those trees."""
+    holding an end, keyed by ``_met`` at its least link from that tree, as
+    ``interacting_pairs`` orders it, and stamped ``made``; return those trees."""
     grown, vp_of = set(), index.vp_of
     for one, other in pairs:
         links = [(v, p) for v in index.variants[one] for p in index.partners.get(v, ())
@@ -319,25 +319,23 @@ def main_root(vm: VariabilityModel) -> VariationPoint:
 def interacting_pairs(
     vm: VariabilityModel, root_vp_id: str
 ) -> list[tuple[str, str]]:
-    """Interacting (source, target) variation-point pairs seen from a tree.
+    """Interacting (source, target) variation-point pairs seen from a tree,
+    by the rule ``reduce`` keys the tree's heap with (``_push``).
 
-    Variants of the tree are visited in ascending id order and their
-    interaction partners (either direction) in ascending id order. For each
-    newly seen pair of variation points, the one with more realizing
-    variants is the source; on a tie the variation point on the visited
-    tree's side of the encounter is the source. Order is deterministic and
-    duplicates are dropped.
+    A link is a variant of the tree with one of its interaction partners
+    (either direction). Each pair of variation points appears once, at its
+    least link ``(variant, partner)``, in ascending order of that link. The
+    one with more realizing variants is the source; on a tie the variation
+    point on the tree's side of that link is the source (``_met``).
     """
     links = vm._links
     _known(links.variants, root_vp_id)
-    pairs, seen, vp_of = [], set(), links.vp_of
-    for variant_id in sorted(tree_variants(links, root_vp_id)):
-        for partner_id in sorted(links.partners.get(variant_id, ())):
-            key = frozenset((vp_of[variant_id], vp_of[partner_id]))
-            if key not in seen:
-                seen.add(key)
-                pairs.append(_met(links, variant_id, partner_id)[2:])
-    return pairs
+    least, vp_of = {}, links.vp_of
+    for v in tree_variants(links, root_vp_id):
+        for p in links.partners.get(v, ()):
+            pair = frozenset((vp_of[v], vp_of[p]))
+            least[pair] = min(least.get(pair, (v, p)), (v, p))
+    return [_met(links, *link)[2:] for link in sorted(least.values())]
 
 
 def check_completeness(

@@ -12,7 +12,7 @@ import pytest
 
 import reference_reduction
 from conftest import GOLDEN_DIR
-from modelgen import random_plm
+from modelgen import random_layered, random_plm
 from ovmkit import corpus_path, model, reduction
 from ovmkit.derivation import derive_initial_vm
 from ovmkit.documents import parse_variability_model, serialize
@@ -27,6 +27,7 @@ from ovmkit.model import (
     VariabilityRefinement,
     VariationPoint,
     Variant,
+    roots,
     tree_size,
     validate,
 )
@@ -129,6 +130,33 @@ class TestInteractingPairs:
             variant_interactions=(edge("c1", "o1"), edge("c2", "o2")),
         )
         assert interacting_pairs(vm, "root") == [("child", "other")]
+
+    def test_reduce_decides_the_pairs_of_a_pass_in_this_order(self, monkeypatch):
+        """Up to the first pair it accepts, ``reduce`` decides the pairs of
+        the trees in descending size (ties by root id), each tree's in
+        ``interacting_pairs`` order, keeping those complete one way or both
+        and skipping an oriented pair an earlier tree decided."""
+        plms = [random_plm(random.Random(seed), max_vps=40, max_variants=120)
+                for seed in range(150)]
+        plms += [derive_initial_vm(*random_layered(random.Random(seed), label_all_difs=True))
+                 for seed in range(40)]
+        decided, merging, mismatches = watch_eligibility(monkeypatch), 0, []
+        for i, plm in enumerate(plms):
+            vm, listed = plm.vm, []
+            for root in sorted(roots(vm), key=lambda vp: (-tree_size(vm, vp.id), vp.id)):
+                listed += [pair for pair in interacting_pairs(vm, root.id) if pair not in listed
+                           and (check_completeness(vm, *pair) or check_completeness(vm, *pair[::-1]))]
+            decided.clear()
+            _, trace = reduce(plm)
+            if trace.merges:
+                merging += 1
+                first = trace.merges[0]
+                del decided[decided.index((first.source_vp_id, first.target_vp_id)) + 1:]
+                listed = listed[:len(decided)]
+            if decided != listed:
+                mismatches.append(i)
+        assert mismatches == []
+        assert merging > 100
 
 
 class TestCompleteness:
