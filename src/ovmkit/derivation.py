@@ -44,8 +44,7 @@ from .model import (
 )
 
 _KEY = _KEYS[Interaction]
-_PASSES = ((Layer.COMPONENT, Layer.FUNCTIONAL), (Layer.FUNCTIONAL, Layer.FEATURE),
-           (Layer.FEATURE, Layer.FEATURE))
+_PASSES = (*LAYER_ABOVE.items(), (Layer.FEATURE, Layer.FEATURE))
 
 
 class DerivationError(ModelError):
@@ -113,7 +112,7 @@ def diff(model: LayeredModel, products: ProductSet | None = None) -> DiffResult:
         grouped.setdefault(key, []).append(activity.id)
 
     return DiffResult(groups=tuple(
-        DiffGroup(key=key, activity_ids=tuple(sorted(ids)))
+        DiffGroup(key=key, activity_ids=tuple(ids))  # ascending, as model.activities
         for key, ids in grouped.items()
     ))
 
@@ -182,29 +181,21 @@ class _Lifting:
     def lift(self, lower: Layer, upper: Layer, strict: bool) -> None:
         """One pass of ``map_layers`` from ``lower`` to ``upper``, a legal pair."""
         activities, bound, vp_of, parents = self.activities, self.bound, self.vp_of, self.parents
-        refined = self.plm.artifacts._index.parents
+        # A same-layer pass reads no upper parents, so it lifts and places nothing.
+        refined = self.plm.artifacts._index.parents if upper is not lower else {}
 
         def upper_parents(activity_id: str) -> tuple[str, ...]:
             return refined.get(activities[activity_id].artifact_id, ())
 
-        def add_parent_edge(child_vp: str, parent_variant: str) -> None:
-            existing = parents.setdefault(child_vp, parent_variant)
-            if existing != parent_variant:
-                raise DerivationError(
-                    f"variation point {child_vp!r} would refine both variants "
-                    f"{existing!r} and {parent_variant!r}")
-
-        ascending = upper is not lower
         # Ascending, as in the model: in strict mode a conflict names the first of
         # two parent edges. The sort merges lifted edges into the input's run.
         edges = self.edges[lower]
         edges.sort()
+        witnessed: list[tuple[str, str]] = []  # (child, parent), in edge order
         for from_act, to_act, kind, _, requires in edges:
             v_from, v_to = bound[from_act], bound[to_act]
             if vp_of[v_from] != vp_of[v_to]:
                 self.variant_edges.add((v_from, v_to, kind, InteractionLevel.VARIANT, requires))
-            if not ascending:
-                continue
             for parent_from in upper_parents(from_act):
                 for parent_to in upper_parents(to_act):
                     edge = (parent_from, parent_to, kind, InteractionLevel.ARTIFACT, requires)
@@ -213,20 +204,21 @@ class _Lifting:
                         self.lifted.append(edge)
                         if parent_from in bound and parent_to in bound:
                             self.edges[upper].append(edge)
-                    if strict:
-                        if parent_from in bound:
-                            add_parent_edge(vp_of[v_from], bound[parent_from])
-                        if parent_to in bound:
-                            add_parent_edge(vp_of[v_to], bound[parent_to])
+                    witnessed += (from_act, parent_from), (to_act, parent_to)
 
-        if ascending and not strict:
-            # Refinement alone places a bound child group under its parent
-            # variant; no witnessing interaction is needed.
-            for activity in self.plm.artifacts.activities:
-                if activity.layer is lower and activity.id in bound:
-                    for parent in upper_parents(activity.id):
-                        if parent in bound:
-                            add_parent_edge(vp_of[bound[activity.id]], bound[parent])
+        # Strict mode places a bound child group only where an interaction
+        # witnesses the refinement; otherwise refinement alone places it.
+        pairs = witnessed if strict else [
+            (a.id, parent) for a in self.plm.artifacts.activities
+            if a.layer is lower and a.id in bound for parent in upper_parents(a.id)]
+        for child, parent in pairs:
+            if parent in bound:
+                child_vp, parent_variant = vp_of[bound[child]], bound[parent]
+                existing = parents.setdefault(child_vp, parent_variant)
+                if existing != parent_variant:
+                    raise DerivationError(
+                        f"variation point {child_vp!r} would refine both variants "
+                        f"{existing!r} and {parent_variant!r}")
 
     def materialise(self) -> ProductLineModel:
         """The frozen model, each collection built in ascending order."""

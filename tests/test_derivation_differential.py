@@ -22,9 +22,11 @@ SEEDS = range(250)
 PASS_SEEDS = range(60)
 # Tangled models make groups that sit under two parent variants, so passes refuse some.
 SHAPES = [(label_all_difs, tangled) for label_all_difs in (False, True) for tangled in (False, True)]
-# The three legal layer pairs in derivation order, then one that skips a layer.
+# The three legal layer pairs in derivation order, then one that skips a layer,
+# then the same-layer passes derivation never runs.
 PASSES = [(Layer.COMPONENT, Layer.FUNCTIONAL), (Layer.FUNCTIONAL, Layer.FEATURE),
-          (Layer.FEATURE, Layer.FEATURE), (Layer.COMPONENT, Layer.FEATURE)]
+          (Layer.FEATURE, Layer.FEATURE), (Layer.COMPONENT, Layer.FEATURE),
+          (Layer.COMPONENT, Layer.COMPONENT), (Layer.FUNCTIONAL, Layer.FUNCTIONAL)]
 
 
 def _outcome(call, *args, **kwargs):
