@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,8 +79,8 @@ def build_report(
             raise ModelError(
                 f"trace lists {len(merges)} merges but the models differ by "
                 f"{initial - final} variation points")
-        vps = before.vm.vps_by_id()
-        left = vps.keys() - after.vm.vps_by_id().keys()  # to remove, once each
+        vps = before.vm._index.vps
+        left = vps.keys() - after.vm._index.vps.keys()  # to remove, once each
         for i, (source, target) in enumerate(merges):
             if source not in vps:
                 raise ModelError(f"trace merge {i}: the model before lacks source {source!r}")
@@ -127,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="only add hierarchy edges witnessed by an interaction between variable activities")
 
     reduce_p = sub.add_parser("reduce", help="merge variation points where checks allow")
-    reduce_p.set_defaults(run=_cmd_reduce)
+    reduce_p.set_defaults(run=_cmd_reduce, parser=reduce_p)
     reduce_p.add_argument("-i", "--input", required=True, help="variability or product-line document ('-' for stdin)")
     reduce_p.add_argument("-o", "--output", required=True, help="output path ('-' for stdout)")
     reduce_p.add_argument("--trace", help="also write the merge trace document here")
@@ -153,16 +154,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-
     enabled = gc.isenabled()
     gc.disable()  # a run's models are trees of records: a collection finds no garbage
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
+    except SystemExit as exc:  # argparse's exit: a usage error, or --help
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except (ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, BudgetExceededError) else EXIT_MODEL_ERROR
@@ -175,6 +173,10 @@ def _read(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
     return Path(path).read_bytes()
+
+
+def _destination(path: str) -> str:
+    return path if path == "-" else os.path.abspath(path)
 
 
 def _write(path: str, data: bytes) -> None:
@@ -193,6 +195,8 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    if args.trace and _destination(args.trace) == _destination(args.output):
+        args.parser.error("argument --trace: names the destination of --output")
     plm = documents.parse_variability_model(_read(args.input))
     reduced, trace = reduce(plm)
     _write(args.output, documents.serialize(reduced))
@@ -209,16 +213,14 @@ def _cmd_report(args) -> int:
         trace = documents.parse_trace(_read(args.trace))
         verify_trace(before, trace, after)
     report = build_report(before, after, trace, args.budget)
-    counts = {name: configspace._count_text(value) for name, value in vars(report).items()
-              if name.startswith(("unconstrained_", "valid_")) and value is not None}
+    # The JSON document: the report's fields, counts as text, a missing one left out.
+    fields = {name: configspace._count_text(value) if name.startswith(("unconstrained_", "valid_"))
+              else value for name, value in vars(report).items() if value is not None}
+    if report.merges is not None:
+        fields["merges"] = [{"source": s, "target": t} for s, t in report.merges]
 
     if args.format == "json":
-        payload = {"initial_vp_count": report.initial_vp_count,
-                   "final_vp_count": report.final_vp_count,
-                   "reduction_percentage": report.reduction_percentage, **counts}
-        if report.merges is not None:
-            payload["merges"] = [{"source": s, "target": t} for s, t in report.merges]
-        _print_json(payload)
+        _print_json(fields)
         return EXIT_OK
     lines = [f"initial variation points: {report.initial_vp_count}",
              f"final variation points:   {report.final_vp_count}",
@@ -226,11 +228,11 @@ def _cmd_report(args) -> int:
     if report.merges is not None:
         lines += [f"merged:                   {target} into {source}"
                   for source, target in report.merges] or ["merged:                   none"]
-    lines.append(f"unconstrained configs:    {counts['unconstrained_before']} -> "
-                 f"{counts['unconstrained_after']}")
-    if "valid_before" in counts and "valid_after" in counts:
-        lines.append(f"valid configs:            {counts['valid_before']} -> "
-                     f"{counts['valid_after']}")
+    lines.append(f"unconstrained configs:    {fields['unconstrained_before']} -> "
+                 f"{fields['unconstrained_after']}")
+    if "valid_before" in fields and "valid_after" in fields:
+        lines.append(f"valid configs:            {fields['valid_before']} -> "
+                     f"{fields['valid_after']}")
     _print(*lines)
     return EXIT_OK
 

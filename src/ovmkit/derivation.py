@@ -39,6 +39,7 @@ from .model import (
     VariationPoint,
     Variant,
     _KEYS,
+    _grouped,
     check_product_includes,
     check_valid,
 )
@@ -91,30 +92,24 @@ def diff(model: LayeredModel, products: ProductSet | None = None) -> DiffResult:
     if products is not None:
         check_product_includes(model, products, DerivationError)
         # With no products every activity is in all of them.
-        in_all = set(model.activities_by_id()).intersection(
+        in_all = set(model._index.activities).intersection(
             *(p.includes for p in products.products))
         variable = [a for a in model.activities if a.id not in in_all]
     else:
         variable = [a for a in model.activities if not a.mandatory]
 
-    grouped: dict[str, list[str]] = {}
-    for activity in variable:
+    def key(activity) -> str:
         if activity.group is not None:
-            key = activity.group
-        else:
-            parents = model.refinement_parents(activity.artifact_id)
-            if len(parents) != 1:
-                detail = "no group label and no refinement parent" if not parents \
-                    else "no group label and several refinement parents"
-                raise DerivationError(
-                    f"cannot group variable activity {activity.id!r}: {detail}")
-            key = parents[0]
-        grouped.setdefault(key, []).append(activity.id)
+            return activity.group
+        parents = model._index.parents.get(activity.artifact_id, ())
+        if len(parents) != 1:
+            detail = "no group label and no refinement parent" if not parents \
+                else "no group label and several refinement parents"
+            raise DerivationError(f"cannot group variable activity {activity.id!r}: {detail}")
+        return parents[0]
 
-    return DiffResult(groups=tuple(
-        DiffGroup(key=key, activity_ids=tuple(ids))  # ascending, as model.activities
-        for key, ids in grouped.items()
-    ))
+    groups = _grouped((key(a), a.id) for a in variable)  # ids ascending, as model.activities
+    return DiffResult(groups=tuple(starmap(DiffGroup, groups.items())))
 
 
 def create_variation_points(difs: DiffResult, model: LayeredModel) -> ProductLineModel:
@@ -133,7 +128,7 @@ def create_variation_points(difs: DiffResult, model: LayeredModel) -> ProductLin
             if named.setdefault(a, group.key) != group.key:
                 raise DerivationError(
                     f"groups {named[a]!r} and {group.key!r} both name activity {a!r}")
-    activities = model.activities_by_id()
+    activities = model._index.activities
     vps: list[VariationPoint] = []
     for group in difs.groups:
         try:
@@ -166,7 +161,7 @@ class _Lifting:
 
     def __init__(self, plm: ProductLineModel) -> None:
         self.plm = plm
-        self.activities = activities = plm.artifacts.activities_by_id()
+        self.activities = activities = plm.artifacts._index.activities
         self.bound = bound = plm._variant_of
         self.vp_of = plm.vm._index.vp_of
         self.parents = dict(plm.vm._index.parent)

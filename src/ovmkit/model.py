@@ -429,7 +429,7 @@ def tree_size(vm: VariabilityModel, root_vp_id: str) -> int:
     child variation points).
     """
     check_valid(vm._violations)
-    vm.vp(root_vp_id)
+    _known(vm._index.vps, root_vp_id)
     return len(tree_variants(vm._index, root_vp_id))
 
 

@@ -116,6 +116,9 @@ class TestDerive:
         assert one.read_bytes() == two.read_bytes()
 
 
+REFUSAL = "argument --trace: names the destination of --output"
+
+
 class TestReduce:
     def test_engine_matches_golden(self, capsys, tmp_path, engine_plm_path):
         out, trace = tmp_path / "reduced.json", tmp_path / "trace.json"
@@ -153,6 +156,35 @@ class TestReduce:
         assert code == 0
         assert out.read_bytes() == empty.read_bytes()
         assert json.loads(trace.read_text())["body"]["merges"] == []
+
+    @pytest.mark.parametrize("existed", [False, True], ids=["absent", "present"])
+    def test_a_trace_at_the_output_path_is_a_usage_error(
+            self, capsys, monkeypatch, tmp_path, engine_plm_path, existed):
+        # Two spellings of one file: the trace would overwrite the reduced model.
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "reduced.json"
+        if existed:
+            out.write_bytes(b"kept")
+        code, stdout, err = run(capsys, "reduce", "-i", str(engine_plm_path),
+                                "-o", str(out), "--trace", "reduced.json")
+        assert (code, stdout) == (2, "")
+        assert err.endswith(f"ovmkit reduce: error: {REFUSAL}\n")
+        assert (out.read_bytes() == b"kept") if existed else not out.exists()
+
+    def test_a_trace_to_stdout_beside_the_model_is_a_usage_error(self, capsys, engine_plm_path):
+        # Two JSON documents back to back on stdout, which no parser reads.
+        code, out, err = run(capsys, "reduce", "-i", str(engine_plm_path),
+                             "-o", "-", "--trace", "-")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"ovmkit reduce: error: {REFUSAL}\n")
+
+    def test_a_file_named_dash_is_not_stdout(self, capsys, monkeypatch, tmp_path, engine_plm_path):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "reduce", "-i", str(engine_plm_path),
+                           "-o", "-", "--trace", "./-")
+        assert code == 0
+        assert out.encode() == (GOLDEN_DIR / "engine-flat-reduced.json").read_bytes()
+        assert (tmp_path / "-").read_bytes() == (GOLDEN_DIR / "engine-flat-trace.json").read_bytes()
 
     def test_deeply_nested_json_exits_one_without_traceback(self, tmp_path):
         deep = tmp_path / "deep.json"

@@ -11,7 +11,9 @@ commit, the Python version, nproc and PYTHONHASHSEED that bench/run.py
 reports, and whether tracked files differ from that commit. A file that
 exists gains the new round, and is refused if it came from another
 checkout. So calling this in turns on a parent checkout and on a change
-gives alternating parent/change pairs.
+gives alternating parent/change pairs. A run that reports "correct": false
+or a failed operation is recorded too, but named on stderr, and the round
+exits 1, so it cannot pass as evidence.
 """
 
 from __future__ import annotations
@@ -59,7 +61,12 @@ def main() -> int:
             print(f"{workload} --trace {trace}: {lines[-1]}")
     record["runs"] += runs
     path.write_text(json.dumps(record, indent=2) + "\n")
-    return 0
+    bad = [run for run in runs if not run["result"]["correct"] or run["result"]["failed"]]
+    for run in bad:
+        result = run["result"]
+        print(f"error: {run['workload']} --trace {run['trace']}: correct "
+              f"{json.dumps(result['correct'])}, {result['failed']} failed", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
