@@ -112,6 +112,13 @@ def _budget(raw: str) -> int:
             configspace._too_long(raw) or f"invalid int value: {raw!r}") from None
 
 
+def _path(raw: str) -> str:
+    """``--trace``'s and ``--validate``'s type: refuses ``""``, which would read as absent."""
+    if not raw:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return raw
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ovmkit",
@@ -131,13 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_p.set_defaults(run=_cmd_reduce, parser=reduce_p)
     reduce_p.add_argument("-i", "--input", required=True, help="variability or product-line document ('-' for stdin)")
     reduce_p.add_argument("-o", "--output", required=True, help="output path ('-' for stdout)")
-    reduce_p.add_argument("--trace", help="also write the merge trace document here")
+    reduce_p.add_argument("--trace", type=_path, help="also write the merge trace document here")
 
     report_p = sub.add_parser("report", help="compare models before and after reduction")
     report_p.set_defaults(run=_cmd_report)
     report_p.add_argument("before", help="model document before reduction")
     report_p.add_argument("after", help="model document after reduction")
-    report_p.add_argument("--trace", help="trace document (adds the merge list)")
+    report_p.add_argument("--trace", type=_path, help="trace document (adds the merge list)")
     report_p.add_argument("--budget", type=_budget, help="enumeration budget for valid counts")
     report_p.add_argument("--format", choices=("json", "table"), default="table")
 
@@ -147,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = configs_p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--count", action="store_true", help="print unconstrained and valid counts")
     mode.add_argument("--enumerate", action="store_true", help="list all valid configurations")
-    mode.add_argument("--validate", metavar="CONFIG", help="check a configuration document")
+    mode.add_argument("--validate", type=_path, metavar="CONFIG", help="check a configuration document")
     configs_p.add_argument("--budget", type=_budget, help="enumeration budget")
     configs_p.add_argument("--format", choices=("json", "table"), default="table")
     return parser
@@ -263,7 +270,7 @@ def _cmd_configs(args) -> int:
     if args.format == "json":
         _print_json({"configurations": [list(c.sorted_ids()) for c in valid_configs]})
     else:
-        _print(*(" ".join(cfg.sorted_ids()) if cfg.selection else "(empty)"
+        _print(*(" ".join(cfg.sorted_ids()) if cfg.sorted_ids() else "(empty)"
                  for cfg in valid_configs))
     return EXIT_OK
 

@@ -12,8 +12,8 @@ serves ``enumerate_valid`` and ``count_valid``. Counting, enumeration and
 ``validate_config`` refuse a model that ``validate`` rejects.
 
 ``enumerate_valid`` sorts each valid selection's ids once, sorts the list of
-those tuples once, and builds the configurations in bulk (``model._build``),
-each carrying its tuple: ``sorted_ids()`` returns it without a second sort.
+those tuples once, and builds each configuration in bulk (``model._build``) from
+its tuple alone: that is its ``sorted_ids()``, and ``selection`` is made on first read.
 
 ``_search_space`` alone resolves and checks the enumeration budget, and
 counts the unconstrained space once; ``_counts`` returns that count with the
@@ -62,11 +62,21 @@ class BudgetExceededError(ModelError):
         self.budget = budget
 
 
+class _FromSortedIds:
+    def __get__(self, cfg, cls=None):
+        """``selection``'s default, ``frozenset()``; on a configuration built without
+        one, the frozenset of its sorted ids, made on first read and kept."""
+        if cfg is None:
+            return frozenset()
+        object.__setattr__(cfg, "selection", frozenset(cfg._sorted_ids))
+        return cfg.selection
+
+
 @dataclass(frozen=True)
 class Configuration:
     """A selection of variant ids, at most one per variation point."""
 
-    selection: frozenset[str] = frozenset()
+    selection: frozenset[str] = _FromSortedIds()
 
     @cached_property
     def _sorted_ids(self) -> tuple[str, ...]:
@@ -74,9 +84,8 @@ class Configuration:
 
     def sorted_ids(self) -> tuple[str, ...]:
         """The selected ids in order, one tuple per configuration: the one
-        ``enumerate_valid`` sorted the configuration by, or else sorted on
-        the first call. The tuple is no field, and neither pickled nor
-        copied; ``replace`` builds a configuration that has none yet."""
+        ``enumerate_valid`` built it from, or else sorted on the first call.
+        No field: neither pickled nor copied, and ``replace``'s copy sorts anew."""
         return self._sorted_ids
 
     def __getstate__(self) -> dict:
@@ -205,14 +214,13 @@ def enumerate_valid(
 ) -> list[Configuration]:
     """All zero-violation configurations, ordered lexicographically by their
     sorted variant ids. Refuses when the unconstrained space exceeds the
-    budget. Each leaf of the walk adds its sorted ids to one list, which is
-    sorted once; the configurations are then built in bulk, in order, each
-    carrying its tuple of that list as its ``sorted_ids()``."""
+    budget. Each leaf of the walk adds its sorted ids to one list, sorted
+    once; the configurations are built from it in bulk, each from its tuple
+    alone, its ``sorted_ids()``, and ``selection`` is made on first read."""
     _, choices, requires, roots = _search_space(plm, budget)
     found = [tuple(sorted(chosen.values())) for chosen in _leaves(choices, requires, roots)]
     found.sort()
-    return _build(Configuration, ("selection", "_sorted_ids"), len(found),
-                  map(frozenset, found), found)
+    return _build(Configuration, ("_sorted_ids",), len(found), found)
 
 
 def count_valid(plm: ProductLineModel, budget: int | None = None) -> int:

@@ -187,9 +187,9 @@ def _build(cls, names, n: int, *columns) -> list:
     without an ``__init__`` call each. With the fields in field order as names,
     each is built as its generated ``__init__`` builds one (so all get the same
     attribute layout): its fields set in that order, then ``__post_init__``, if
-    any. A name past the fields sets an attribute that is no field, such as a
-    value the class would otherwise compute on demand. The document reader
-    builds its records here, and ``enumerate_valid`` its configurations.
+    any. A name that is no field sets a value the class would otherwise compute
+    on demand; a field not named reads as its class attribute. The document
+    reader builds its records here, and ``enumerate_valid`` its configurations.
 
     A first, discarded record is given every name before the others exist.
     CPython lets a class's instances share one key table only while few of

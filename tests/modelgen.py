@@ -37,6 +37,18 @@ LAYERS = (Layer.FEATURE, Layer.FUNCTIONAL, Layer.COMPONENT)
 KINDS = (InteractionKind.MATERIAL, InteractionKind.INFORMATION)
 
 
+def grid(vps: int) -> ProductLineModel:
+    """Root variation points of ten variants each, with no bindings and no
+    interactions: 10^vps selections, all valid."""
+    ids = [f"g{i:05d}" for i in range(vps)]
+    return ProductLineModel(vm=VariabilityModel(
+        variation_points=tuple(
+            VariationPoint(id=vp, name=vp.upper(), level=Layer.FEATURE) for vp in ids),
+        variants=tuple(
+            Variant(id=f"{vp}.{k}", name=f"{vp}.{k}", vp_id=vp)
+            for vp in ids for k in range(10))))
+
+
 def random_plm(
     rng: random.Random,
     max_vps: int = 50,

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import GOLDEN_DIR
 import reference_configs
-from modelgen import random_layered, random_plm
+from modelgen import grid, random_layered, random_plm
 from ovmkit import configs, corpus_path, documents
 from ovmkit.cli import ReductionReport, build_parser, build_report, main
 from ovmkit.configs import BudgetExceededError, Configuration
@@ -69,16 +69,9 @@ def run_child(*args, env=CHILD_ENV) -> subprocess.CompletedProcess:
 
 
 def grid_path(tmp_path, vps: int) -> Path:
-    """Root variation points of ten variants each, with no bindings and no
-    interactions: 10^vps selections, all valid."""
-    ids = [f"g{i:05d}" for i in range(vps)]
+    """``modelgen.grid(vps)``'s document, written under ``tmp_path``."""
     path = tmp_path / f"grid-{vps}.json"
-    path.write_bytes(serialize(ProductLineModel(vm=VariabilityModel(
-        variation_points=tuple(
-            VariationPoint(id=vp, name=vp.upper(), level=Layer.FEATURE) for vp in ids),
-        variants=tuple(
-            Variant(id=f"{vp}.{k}", name=f"{vp}.{k}", vp_id=vp)
-            for vp in ids for k in range(10))))))
+    path.write_bytes(serialize(grid(vps)))
     return path
 
 
@@ -117,6 +110,20 @@ class TestDerive:
 
 
 REFUSAL = "argument --trace: names the destination of --output"
+
+
+@pytest.mark.parametrize("command, option", [
+    ("reduce", "--trace"), ("report", "--trace"), ("configs", "--validate")])
+def test_an_empty_path_is_a_usage_error(capsys, tmp_path, engine_plm_path, command, option):
+    # Read as absent, "" would write no trace, replay none, or enumerate in
+    # place of validating, and exit 0.
+    model, out = str(engine_plm_path), tmp_path / "reduced.json"
+    args = {"reduce": ["-i", model, "-o", str(out)], "report": [model, model],
+            "configs": ["-i", model]}[command]
+    code, stdout, err = run(capsys, command, *args, option, "")
+    assert (code, stdout) == (2, "")
+    assert err.endswith(f"ovmkit {command}: error: argument {option}: an empty path names no file\n")
+    assert not out.exists()
 
 
 class TestReduce:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import pickle
+import tracemalloc
 from dataclasses import asdict, fields, replace
 
 import pytest
 
+from modelgen import grid
 from ovmkit import configs
 from ovmkit.cli import build_report
 from ovmkit.configs import (
@@ -36,6 +38,7 @@ from ovmkit.model import (
     VariabilityRefinement,
     VariationPoint,
     Variant,
+    _build,
     validate,
 )
 from ovmkit.reduction import ReductionTrace, merge, reduce, verify_trace
@@ -288,6 +291,43 @@ class TestCarriedSortedIds:
         other = replace(c, selection=frozenset({"zz", "aa", "mm"}))
         assert other.sorted_ids() == ("aa", "mm", "zz")
         assert replace(c).sorted_ids() == c.sorted_ids()
+
+    def test_its_selection_is_made_on_first_read_and_kept(self, enumerated):
+        assert not any("selection" in vars(c) for c in enumerated)
+        for c in enumerated:
+            first = c.selection
+            assert first == frozenset(c.sorted_ids()) and c.selection is first
+
+    def test_the_class_default_is_still_the_empty_selection(self):
+        assert Configuration.selection == fields(Configuration)[0].default == frozenset()
+        assert Configuration() == cfg() and "selection" in vars(Configuration())
+
+    def test_it_takes_no_frozenset_and_no_dict_of_its_own(self):
+        """Built from its tuple alone, an enumerated configuration takes about
+        half the bytes of one built with its frozenset. Once ``selection`` is
+        read, it takes no more than one built in bulk with both, but for what
+        is allocated once per list; had it a dict of its own, that would cost
+        some 230 bytes more."""
+        plm = grid(4)
+        ids = [c.sorted_ids() for c in enumerate_valid(plm)]
+        enumerated, alone = bytes_each(lambda: enumerate_valid(plm), len(ids))
+        _, constructed = bytes_each(lambda: [cfg(*t) for t in ids], len(ids))
+        assert alone < 0.75 * constructed
+        _, read = bytes_each(lambda: sum(len(c.selection) for c in enumerated), len(ids))
+        _, both = bytes_each(lambda: _build(
+            Configuration, ("selection", "_sorted_ids"), len(ids),
+            map(frozenset, ids), [tuple(sorted(t)) for t in ids]), len(ids))
+        assert alone + read < 1.05 * both
+
+
+def bytes_each(make, n: int):
+    """What ``make()`` returns, and the bytes it holds by ``tracemalloc`` over ``n``."""
+    tracemalloc.start()
+    try:
+        made = make()
+        return made, tracemalloc.get_traced_memory()[0] / n
+    finally:
+        tracemalloc.stop()
 
 
 def bind(plm, *variant_ids):
