@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 model or validation error, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import sys
@@ -23,7 +22,7 @@ from . import configs as configspace
 from . import documents
 from .configs import BudgetExceededError
 from .derivation import derive_initial_vm
-from .model import ModelError, ProductLineModel
+from .model import ModelError, ProductLineModel, _collector_paused
 from .reduction import ReductionTrace, reduce, verify_trace
 
 EXIT_OK = 0
@@ -52,6 +51,7 @@ class ReductionReport:
     merges: tuple[tuple[str, str], ...] | None
 
 
+@_collector_paused
 def build_report(
     before: ProductLineModel,
     after: ProductLineModel,
@@ -160,9 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_collector_paused  # for the whole run, listing and writing included
 def main(argv: list[str] | None = None) -> int:
-    enabled = gc.isenabled()
-    gc.disable()  # a run's models are trees of records: a collection finds no garbage
     try:
         args = build_parser().parse_args(argv)
         return args.run(args)
@@ -171,9 +170,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, BudgetExceededError) else EXIT_MODEL_ERROR
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _read(path: str) -> bytes:
@@ -268,7 +264,10 @@ def _cmd_configs(args) -> int:
 
     valid_configs = configspace.enumerate_valid(plm, args.budget)
     if args.format == "json":
-        _print_json({"configurations": [list(c.sorted_ids()) for c in valid_configs]})
+        # ``_print_json``'s bytes; with ``indent`` set, ``json.dumps`` runs its pure-Python encoder.
+        listing = documents._block([documents._block(list(map(documents._escape, c.sorted_ids())),
+                                                     "    ") for c in valid_configs], "  ")
+        _write("-", f'{{\n  "configurations": {listing}\n}}\n'.encode())
     else:
         _print(*(" ".join(cfg.sorted_ids()) if cfg.sorted_ids() else "(empty)"
                  for cfg in valid_configs))

@@ -35,6 +35,7 @@ from .model import (
     VariabilityModel,
     Violation,
     _build,
+    _collector_paused,
     check_valid,
 )
 
@@ -209,6 +210,7 @@ def _unbound(plm: ProductLineModel) -> set[str]:
     return plm.vm._index.vp_of.keys() - bound if bound else set()
 
 
+@_collector_paused
 def enumerate_valid(
     plm: ProductLineModel, budget: int | None = None
 ) -> list[Configuration]:
@@ -223,6 +225,7 @@ def enumerate_valid(
     return _build(Configuration, ("_sorted_ids",), len(found), found)
 
 
+@_collector_paused
 def count_valid(plm: ProductLineModel, budget: int | None = None) -> int:
     """``len(enumerate_valid(plm, budget))``, with the same refusals, but no
     configuration is built."""

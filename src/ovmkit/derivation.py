@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from itertools import chain, starmap
+from itertools import chain, repeat, starmap
 
 from .model import (
     Binding,
@@ -39,6 +39,8 @@ from .model import (
     VariationPoint,
     Variant,
     _KEYS,
+    _build,
+    _collector_paused,
     _grouped,
     check_product_includes,
     check_valid,
@@ -144,11 +146,12 @@ def create_variation_points(difs: DiffResult, model: LayeredModel) -> ProductLin
     # The groups ascend by key, and so do their variation points. By activity
     # id the variants and bindings ascend too, so the models take all as given.
     members = sorted(named.items())
-    vm = VariabilityModel(variation_points=tuple(vps), variants=tuple(
-        Variant(id=f"v:{a}", name=activities[a].name, vp_id=f"vp:{key}") for a, key in members))
-    return ProductLineModel(vm=vm, artifacts=model, bindings=tuple(
-        Binding(kind=BindingKind.ACTIVITY_VARIANT, source_id=a, target_id=f"v:{a}")
-        for a, _ in members))
+    ids, names = [f"v:{a}" for a, _ in members], [activities[a].name for a, _ in members]
+    vm = VariabilityModel(variation_points=tuple(vps), variants=_build(
+        Variant, ("id", "name", "vp_id"), len(ids), ids, names, [f"vp:{k}" for _, k in members]))
+    return ProductLineModel(vm=vm, artifacts=model, bindings=_build(
+        Binding, ("kind", "source_id", "target_id"), len(ids),
+        repeat(BindingKind.ACTIVITY_VARIANT), [a for a, _ in members], ids))
 
 
 class _Lifting:
@@ -230,6 +233,7 @@ class _Lifting:
         return replace(self.plm, vm=vm, artifacts=model)
 
 
+@_collector_paused
 def map_layers(
     plm: ProductLineModel, lower: Layer, upper: Layer, *, strict: bool = False
 ) -> ProductLineModel:
@@ -256,6 +260,7 @@ def map_layers(
     return lifting.materialise()
 
 
+@_collector_paused
 def derive_initial_vm(
     model: LayeredModel,
     products: ProductSet | None = None,

@@ -65,6 +65,7 @@ from .model import (
     VariationPoint,
     Variant,
     _build,
+    _collector_paused,
     check_product_includes,
     check_valid,
     validate,
@@ -103,7 +104,7 @@ def _body(data: bytes, *kinds: str) -> tuple[str, dict]:
         raise ParseError("invalid JSON: a number has too many digits") from None
     except RecursionError:
         raise ParseError("invalid JSON: arrays and objects are nested too deeply") from None
-    if "\\u" in text:  # only a \u escape can spell a lone surrogate
+    if "\\" in text and "\\u" in text:  # only a \u escape can spell a lone surrogate
         _reject_lone_surrogates(raw)
     obj = _object(raw, "document")
     _reject_unknown(obj, "document", {"schema_version", "kind", "body"})
@@ -119,6 +120,7 @@ def _body(data: bytes, *kinds: str) -> tuple[str, dict]:
     return kind, body
 
 
+@_collector_paused
 def parse_layered_model(data: bytes) -> tuple[LayeredModel, ProductSet | None]:
     """Parse a layered-model document; validates structure and references."""
     model, products = _LAYERED_DOCUMENT.read(_body(data, KIND_LAYERED)[1], "body")
@@ -128,6 +130,7 @@ def parse_layered_model(data: bytes) -> tuple[LayeredModel, ProductSet | None]:
     return model, products
 
 
+@_collector_paused
 def parse_variability_model(data: bytes) -> ProductLineModel:
     """Parse a variability-model or product-line-model document."""
     kind, body = _body(data, KIND_VARIABILITY, KIND_PRODUCT_LINE)
@@ -142,14 +145,17 @@ def parse_variability_model(data: bytes) -> ProductLineModel:
     return plm
 
 
+@_collector_paused
 def parse_configuration(data: bytes) -> Configuration:
     return _CONFIGURATION.read(_body(data, KIND_CONFIGURATION)[1], "body")
 
 
+@_collector_paused
 def parse_trace(data: bytes) -> ReductionTrace:
     return _TRACE.read(_body(data, KIND_TRACE)[1], "body")
 
 
+@_collector_paused
 def serialize(model, *, products: ProductSet | None = None) -> bytes:
     """Canonical document bytes for a model, configuration, or trace."""
     if isinstance(model, LayeredModel):
@@ -358,7 +364,7 @@ class _Table:
     def column(self, items: list) -> tuple | None:
         """The records of a JSON array, a field at a time, or None when any
         item may be faulty."""
-        if not (self.sources and _only({dict}, items) and all(map(self.keys.issuperset, items))):
+        if not (self.sources and _only({dict}, items) and set().union(*items) <= self.keys):
             return None
         columns = [source(items) for source in self.sources]
         if None in columns:

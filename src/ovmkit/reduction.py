@@ -46,6 +46,7 @@ from .model import (
     VariabilityRefinement,
     VariationPoint,
     _KEYS,
+    _collector_paused,
     _known,
     _link,
     check_valid,
@@ -418,6 +419,7 @@ def verify_trace(
         raise ModelError(f"trace records {trace.pass_count} passes for {len(trace.merges)} merges")
 
 
+@_collector_paused
 def reduce(plm: ProductLineModel) -> tuple[ProductLineModel, ReductionTrace]:
     """Merge until no eligible pair remains.
 

@@ -600,6 +600,19 @@ class TestConfigs:
         code, out, err = run(capsys, "configs", "-i", str(corpus_path(name)), "--enumerate")
         assert (code, out, err) == (0, listing, "")
 
+    def test_enumerate_json_is_json_dumps_indented(self, capsys, tmp_path):
+        """An empty configuration, and ids a JSON string escapes, non-ASCII kept."""
+        odd = ('a"1', "b\\2", "c\t3", "é4")
+        plm = ProductLineModel(vm=VariabilityModel(
+            variation_points=(VariationPoint(id="q", name="q", level=Layer.FEATURE),),
+            variants=tuple(Variant(id=v, name="v", vp_id="q") for v in odd)))
+        (tmp_path / "odd.json").write_bytes(serialize(plm))
+        for path, listing in ((corpus_path("empty-vm.json"), [[]]),
+                              (tmp_path / "odd.json", [[v] for v in sorted(odd)])):
+            assert run(capsys, "configs", "-i", str(path), "--enumerate", "--format", "json") == (
+                0, json.dumps({"configurations": listing}, ensure_ascii=False, indent=2) + "\n",
+                "")
+
     def test_validate_json(self, capsys, engine_plm_path):
         def violations(config: str):
             code, out, err = run(

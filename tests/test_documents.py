@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -136,6 +137,18 @@ class TestErrors:
         plm = parse_variability_model(data)
         assert plm.vm.variation_points[1].name == "x\U0001F600"
         assert "x\U0001F600".encode() in serialize(plm)
+
+    @pytest.mark.parametrize("name, u_escape", [
+        ('a "quoted"\\path\twith a tab', False), (r"C:\users\ud800", True)],
+        ids=["no-u-escape", "literal-backslash-u"])
+    def test_a_backslash_in_a_string_round_trips(self, logistics_plm, name, u_escape):
+        vps = list(logistics_plm.vm.variation_points)
+        vps[1] = replace(vps[1], name=name)
+        plm = replace(logistics_plm, vm=replace(logistics_plm.vm, variation_points=tuple(vps)))
+        data = serialize(plm)
+        assert (b"\\" in data, b"\\u" in data) == (True, u_escape)
+        assert parse_variability_model(data) == plm
+        assert serialize(parse_variability_model(data)) == data
 
     def test_unknown_trace_subrecord_field_rejected(self):
         doc = _envelope("reduction-trace", {"pass_count": 1, "merges": [{

@@ -266,6 +266,23 @@ def test_two_faulty_records_report_the_first():
         documents.ParseError, "body.interactions[0].requires must be a boolean")
 
 
+def test_an_unknown_key_in_a_long_array_reports_the_first_error():
+    """One unknown key among 2,000 records refuses the column read; a
+    faulty record before it is still the one named."""
+    base = _envelope("variability-model", {"variation_points": [
+        {"id": f"p{i:04d}", "name": "p", "level": "feature"} for i in range(2000)]})
+    path = ("variation_points",)
+    for position in (0, 1234, 1999):
+        doc = _with(base, path, position, {**_array(base, path)[position], "color": "red"})
+        assert _check_same("parse_variability_model", doc) == (
+            documents.ParseError, f"body.variation_points[{position}]: unknown field 'color'")
+        if position:
+            doc = _with(doc, path, position - 1, {**_array(base, path)[position - 1], "name": ""})
+            assert _check_same("parse_variability_model", doc) == (
+                documents.ParseError,
+                f"body.variation_points[{position - 1}].name must be a non-empty string")
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("mandatory", 1, "body.activities[4].mandatory must be a boolean"),
     ("mandatory", 0, "body.activities[4].mandatory must be a boolean"),

@@ -13,7 +13,10 @@ exists gains the new round, and is refused if it came from another
 checkout. So calling this in turns on a parent checkout and on a change
 gives alternating parent/change pairs. A run that reports "correct": false
 or a failed operation is recorded too, but named on stderr, and the round
-exits 1, so it cannot pass as evidence.
+exits 1, so it cannot pass as evidence. Each run also records which bytecode
+caches of the checkout existed when it started, named on stderr too: with
+one, bench/run.py compiles less in its set-up, and setup_s reads 9-23% low.
+Set PYTHONDONTWRITEBYTECODE=1 on both checkouts to compare them without.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # The fields of bench/run.py's header line that describe the checkout and host.
 HOST_FIELDS = ("commit", "python", "nproc", "PYTHONHASHSEED")
+CACHES = ("src/ovmkit/__pycache__", "bench/__pycache__")
 
 
 def main() -> int:
@@ -40,6 +44,7 @@ def main() -> int:
     runs = []
     for workload in (w["name"] for w in spec["workloads"]):
         for trace in (0, 1):
+            caches = [name for name in CACHES if (ROOT / name).is_dir()]
             lines = subprocess.run(
                 [*spec["command"], "--workload", workload, "--trace", str(trace),
                  "--seconds", str(spec["run_seconds"])],
@@ -57,8 +62,11 @@ def main() -> int:
                       file=sys.stderr)
                 return 1
             runs.append({"workload": workload, "seed": int(header["seed"]), "trace": trace,
-                         "result": json.loads(lines[-1])})
+                         "bytecode_cache": caches, "result": json.loads(lines[-1])})
             print(f"{workload} --trace {trace}: {lines[-1]}")
+            if caches:
+                print(f"note: {workload} --trace {trace} started with a bytecode cache in "
+                      f"{', '.join(caches)}; its setup_s reads low", file=sys.stderr)
     record["runs"] += runs
     path.write_text(json.dumps(record, indent=2) + "\n")
     bad = [run for run in runs if not run["result"]["correct"] or run["result"]["failed"]]
