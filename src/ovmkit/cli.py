@@ -269,8 +269,8 @@ def _cmd_configs(args) -> int:
                                                      "    ") for c in valid_configs], "  ")
         _write("-", f'{{\n  "configurations": {listing}\n}}\n'.encode())
     else:
-        _print(*(" ".join(cfg.sorted_ids()) if cfg.sorted_ids() else "(empty)"
-                 for cfg in valid_configs))
+        # A document's ids are non-empty strings, so only an empty selection joins to "".
+        _print(*(" ".join(cfg.sorted_ids()) or "(empty)" for cfg in valid_configs))
     return EXIT_OK
 
 

@@ -6,14 +6,18 @@ parent variant is selected. Interactions act as closure constraints: when
 both endpoint variation points are active, the two variants are selected
 together or not at all.
 
-``validate_config`` is the reference for these rules. One depth-first walk
-over one mutable path, which cuts a branch as soon as it breaks one of them,
-serves ``enumerate_valid`` and ``count_valid``. Counting, enumeration and
-``validate_config`` refuse a model that ``validate`` rejects.
+``validate_config`` is the reference for these rules. Interactions are the
+only ones that reach across trees, so the valid selections are the product
+of those of each group of roots that no interaction joins. A depth-first
+walk over one mutable path, which cuts a branch as soon as it breaks a rule,
+lists each group's: ``enumerate_valid`` combines the lists by cartesian
+product, and ``count_valid`` multiplies their lengths. Counting, enumeration
+and ``validate_config`` refuse a model that ``validate`` rejects.
 
-``enumerate_valid`` sorts each valid selection's ids once, sorts the list of
-those tuples once, and builds each configuration in bulk (``model._build``) from
-its tuple alone: that is its ``sorted_ids()``, and ``selection`` is made on first read.
+``enumerate_valid`` sorts each combined selection's ids once (the first
+group's straight from the walk), sorts the list of those tuples once, and
+builds each configuration in bulk (``model._build``) from its tuple alone:
+that is its ``sorted_ids()``, and ``selection`` is made on first read.
 
 ``_search_space`` alone resolves and checks the enumeration budget, and
 counts the unconstrained space once; ``_counts`` returns that count with the
@@ -36,6 +40,7 @@ from .model import (
     Violation,
     _build,
     _collector_paused,
+    _grouped,
     check_valid,
 )
 
@@ -216,11 +221,15 @@ def enumerate_valid(
 ) -> list[Configuration]:
     """All zero-violation configurations, ordered lexicographically by their
     sorted variant ids. Refuses when the unconstrained space exceeds the
-    budget. Each leaf of the walk adds its sorted ids to one list, sorted
-    once; the configurations are built from it in bulk, each from its tuple
-    alone, its ``sorted_ids()``, and ``selection`` is made on first read."""
-    _, choices, requires, roots = _search_space(plm, budget)
-    found = [tuple(sorted(chosen.values())) for chosen in _leaves(choices, requires, roots)]
+    budget. The first group's leaves give sorted ids; each further group's
+    join every tuple so far, sorted. The list is sorted once; each
+    configuration is built from its tuple alone, its ``sorted_ids()``, and
+    ``selection`` is made on first read."""
+    _, choices, requires, (first, *rest) = _search_space(plm, budget)
+    found = [tuple(sorted(chosen.values())) for chosen in _leaves(choices, requires, first)]
+    for group in rest:
+        leaves = [tuple(chosen.values()) for chosen in _leaves(choices, requires, group)]
+        found = [tuple(sorted(ids + more)) for ids in found for more in leaves]
     found.sort()
     return _build(Configuration, ("_sorted_ids",), len(found), found)
 
@@ -235,12 +244,14 @@ def count_valid(plm: ProductLineModel, budget: int | None = None) -> int:
 def _counts(plm: ProductLineModel, budget: int | None) -> tuple[int, int]:
     """``(unconstrained, valid)``, with ``enumerate_valid``'s refusals. With
     no interaction the valid count is ``unconstrained_count``'s recurrence
-    over the pruned choices; otherwise it adds up the leaves of the walk."""
-    unconstrained, choices, requires, roots = _search_space(plm, budget)
+    over the pruned choices; otherwise it is the product, over the groups
+    of roots, of the leaves of each group's walk."""
+    unconstrained, choices, requires, groups = _search_space(plm, budget)
     if requires:
-        return unconstrained, sum(1 for _ in _leaves(choices, requires, roots))
+        return unconstrained, prod(sum(1 for _ in _leaves(choices, requires, group))
+                                   for group in groups)
     ways = _ways(choices, choices.__getitem__)
-    return unconstrained, prod(ways[root] for root in roots)
+    return unconstrained, prod(ways[root] for group in groups for root in group)
 
 
 def _search_space(plm: ProductLineModel, budget: int | None):
@@ -251,7 +262,8 @@ def _search_space(plm: ProductLineModel, budget: int | None):
     ``(variant, child vps)`` per reachable vp, children first; per variant,
     what choosing it asks of another vp once that one has chosen too,
     ``(vp, variant, whether that variant must be its choice)``, which holds
-    nothing over a vp that never becomes active; and the root ids."""
+    nothing over a vp that never becomes active; and the root ids in groups
+    no interaction joins, in root order (one empty group if there is no root)."""
     check_valid(plm._violations)
     if budget is None:
         budget = default_budget()
@@ -262,10 +274,20 @@ def _search_space(plm: ProductLineModel, budget: int | None):
     if count > budget:
         raise BudgetExceededError(count, budget)
     index, excluded = vm._index, _unbound(plm)
+    # Union-find: each vp starts under its parent's, and an interaction joins two roots.
+    leader = {vp_id: index.vp_of[v] for vp_id, v in index.parent.items()}
+
+    def find(vp_id: str) -> str:
+        while vp_id in leader:  # each step skips a link: path halving
+            leader[vp_id] = vp_id = leader.get(leader[vp_id], leader[vp_id])
+        return vp_id
+
     requires: dict[str, list[tuple[str, str, bool]]] = defaultdict(list)
     for edge in vm.variant_interactions:
         a, b = edge.from_id, edge.to_id
         vp_a, vp_b = index.vp_of[a], index.vp_of[b]
+        if (root_a := find(vp_a)) != (root_b := find(vp_b)):
+            leader[root_b] = root_a
         for mine, vp_mine, theirs, vp_theirs in ((a, vp_a, b, vp_b), (b, vp_b, a, vp_a)):
             for variant_id in index.variants[vp_mine]:
                 requires[variant_id].append((vp_theirs, theirs, variant_id == mine))
@@ -274,10 +296,13 @@ def _search_space(plm: ProductLineModel, budget: int | None):
         options = ((v, index.children.get(v, ())) for v in index.variants.get(vp_id, ()))
         choices[vp_id] = [(v, children) for v, children in options
                           if v not in excluded and all(choices[c] for c in children)]
-    return count, choices, requires, [vp.id for vp in index.roots]
+    # An empty space stays one group, which the walk ends at its root with nothing to
+    # try: a product of 0 meets any budget, so the budget bounds no other group's walk.
+    groups = _grouped((find(vp.id) if count else "", vp.id) for vp in index.roots).values()
+    return count, choices, requires, list(groups) or [()]
 
 
-def _leaves(choices, requires, pending: list[str]):
+def _leaves(choices, requires, pending: tuple[str, ...]):
     """Depth first from the ``pending`` variation points, the walk's one
     ``{vp: variant}`` dict at each valid selection; it changes once the next
     is asked for. The path is ``todo``, the active variation points in the

@@ -4,12 +4,15 @@ Every generated model passes ``validate`` with zero violations, so the
 suites exercise the operations on structurally valid inputs of varying
 shape: forests with deep and flat trees, variation points with one to five
 variants (occasionally none), interaction graphs with cycles, requires
-flags, and optional activity bindings.
+flags, and optional activity bindings. The fixed models the configuration
+suites share (``grid``, ``paired_grid``, ``forest_of_components``) and
+``bind``, which adds bindings to a model, live here too.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from ovmkit.model import (
     Activity,
@@ -47,6 +50,48 @@ def grid(vps: int) -> ProductLineModel:
         variants=tuple(
             Variant(id=f"{vp}.{k}", name=f"{vp}.{k}", vp_id=vp)
             for vp in ids for k in range(10))))
+
+
+def paired_grid(vps: int) -> ProductLineModel:
+    """``grid(vps)`` with one interaction joining each pair of roots, the
+    first with the second, the third with the fourth, and so on: a pair keeps
+    1 + 9 * 9 = 82 of its 100 selections."""
+    plm = grid(vps)
+    return replace(plm, vm=replace(plm.vm, variant_interactions=tuple(
+        Interaction(from_id=f"g{i:05d}.3", to_id=f"g{i + 1:05d}.4",
+                    kind=InteractionKind.INFORMATION, level=InteractionLevel.VARIANT)
+        for i in range(0, vps - 1, 2))))
+
+
+def forest_of_components() -> ProductLineModel:
+    """Five rooted trees r0..r4: each root has three variants, and the first
+    of them is refined by a child variation point with two variants.
+    Interactions join r0's tree with r1's and r2's with r3's, one more links
+    two variation points of r2's tree, and r4's tree stands alone."""
+    vps, variants, refinements = [], [], []
+    for t in range(5):
+        root, child = f"r{t}", f"r{t}c"
+        vps += [VariationPoint(id=vp, name=vp.upper(), level=Layer.FEATURE) for vp in (root, child)]
+        variants += [Variant(id=f"{root}.{i}", name=f"{root}.{i}", vp_id=root) for i in range(3)]
+        variants += [Variant(id=f"{child}.{i}", name=f"{child}.{i}", vp_id=child) for i in range(2)]
+        refinements.append(VariabilityRefinement(child_vp_id=child, parent_variant_id=f"{root}.0"))
+    edges = (("r0.1", "r1c.0"), ("r2.2", "r3.0"), ("r3.1", "r2c.1"), ("r2.0", "r2c.0"))
+    return ProductLineModel(vm=VariabilityModel(
+        variation_points=tuple(vps), variants=tuple(variants), refinements=tuple(refinements),
+        variant_interactions=tuple(
+            Interaction(from_id=a, to_id=b, kind=InteractionKind.INFORMATION,
+                        level=InteractionLevel.VARIANT) for a, b in edges)))
+
+
+def bind(plm, *variant_ids):
+    """The model with one activity ``act-<v>`` bound to each given variant."""
+    acts = tuple(f"act-{v}" for v in variant_ids)
+    layered = LayeredModel(
+        artifacts=(FunctionalArtifact("art", Layer.FEATURE, acts),),
+        activities=tuple(Activity(a, a, Layer.FEATURE, "art", False) for a in acts))
+    return replace(plm, artifacts=layered, bindings=tuple(
+        Binding(kind=BindingKind.ACTIVITY_VARIANT, source_id=f"act-{v}", target_id=v)
+        for v in variant_ids))
 
 
 def random_plm(

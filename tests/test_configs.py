@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict, fields, replace
 
 import pytest
 
-from modelgen import grid
+from modelgen import bind, forest_of_components, grid, paired_grid
 from ovmkit import configs
 from ovmkit.cli import build_report
 from ovmkit.configs import (
@@ -23,15 +26,10 @@ from ovmkit.configs import (
     validate_config,
 )
 from ovmkit.model import (
-    Activity,
-    Binding,
-    BindingKind,
-    FunctionalArtifact,
     Interaction,
     InteractionKind,
     InteractionLevel,
     Layer,
-    LayeredModel,
     ModelError,
     ProductLineModel,
     VariabilityModel,
@@ -330,17 +328,6 @@ def bytes_each(make, n: int):
         tracemalloc.stop()
 
 
-def bind(plm, *variant_ids):
-    """The model with one activity ``act-<v>`` bound to each given variant."""
-    acts = tuple(f"act-{v}" for v in variant_ids)
-    layered = LayeredModel(
-        artifacts=(FunctionalArtifact("art", Layer.FEATURE, acts),),
-        activities=tuple(Activity(a, a, Layer.FEATURE, "art", False) for a in acts))
-    return replace(plm, artifacts=layered, bindings=tuple(
-        Binding(kind=BindingKind.ACTIVITY_VARIANT, source_id=f"act-{v}", target_id=v)
-        for v in variant_ids))
-
-
 def interact(from_id, to_id):
     return Interaction(from_id=from_id, to_id=to_id, kind=InteractionKind.INFORMATION,
                        level=InteractionLevel.VARIANT)
@@ -397,6 +384,60 @@ class TestSearchEdgeCases:
 
     def test_model_without_variation_points(self):
         assert enumerate_valid(ProductLineModel()) == [Configuration()]
+
+
+@pytest.fixture
+def leaves_walked(monkeypatch):
+    """The leaves ``configs._leaves`` yields from now until the test ends, one
+    ``None`` each."""
+    walked, leaves = [], configs._leaves
+
+    def counted(*args):
+        for leaf in leaves(*args):
+            walked.append(None)
+            yield leaf
+
+    monkeypatch.setattr(configs, "_leaves", counted)
+    return walked
+
+
+class TestRootGroups:
+    GROUPS = [("r0", "r1"), ("r2", "r3"), ("r4",)]
+
+    def test_groups_in_root_order(self):
+        assert configs._search_space(forest_of_components(), None)[3] == self.GROUPS
+
+    def test_groups_do_not_depend_on_the_hash_seed(self):
+        code = ("from modelgen import forest_of_components; from ovmkit import configs; "
+                "print(configs._search_space(forest_of_components(), None)[3])")
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join((os.path.dirname(os.path.dirname(configs.__file__)), here))
+        for seed in ("0", "1", "2"):
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 check=True, env={**os.environ, "PYTHONHASHSEED": seed,
+                                                  "PYTHONPATH": path}).stdout
+            assert out == f"{self.GROUPS}\n"
+
+    def test_count_walks_each_group_once(self, leaves_walked):
+        # 82^3 = 551,368 valid selections, from three walks of 82 leaves each.
+        assert count_valid(paired_grid(6)) == 82 ** 3
+        assert len(leaves_walked) == 3 * 82
+
+    def test_enumeration_walks_each_group_once(self, leaves_walked):
+        listed = [c.sorted_ids() for c in enumerate_valid(paired_grid(4))]
+        assert len(leaves_walked) == 2 * 82
+        assert listed == sorted(set(listed)) and len(listed) == 82 ** 2
+        assert all(ids == tuple(sorted(ids)) for ids in listed)
+
+    def test_an_empty_space_walks_nothing(self, leaves_walked):
+        # Five roots of ten variants, joined in pairs, and one with none: no
+        # selection, so the budget admits it, and no group may be walked.
+        plm = paired_grid(5)
+        plm = replace(plm, vm=replace(plm.vm, variation_points=(
+            *plm.vm.variation_points, VariationPoint("g00005", "G00005", Layer.FEATURE))))
+        assert unconstrained_count(plm.vm) == 0
+        assert enumerate_valid(plm) == [] and count_valid(plm) == 0
+        assert leaves_walked == []
 
 
 class TestSubsetOracle:

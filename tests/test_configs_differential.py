@@ -1,5 +1,7 @@
 """Differential tests: the pruned configuration search against the frozen
-generate-and-test oracle (``reference_configs``, the enumerator it replaced).
+generate-and-test oracle (``reference_configs``, the enumerator it replaced),
+on single trees and on forests whose roots the search splits into groups that
+no interaction joins.
 
 For every model both must list the same configurations in the same order,
 or both refuse with the same unconstrained count; ``count_valid`` must give
@@ -17,27 +19,18 @@ from hypothesis import strategies as st
 
 import reference_configs
 from conftest import GOLDEN_DIR
-from modelgen import random_plm
+from modelgen import bind, forest_of_components, random_plm
 from ovmkit import corpus_dir, documents
 from ovmkit.configs import (
     BudgetExceededError,
+    Configuration,
     count_valid,
     enumerate_valid,
     unconstrained_count,
     validate_config,
 )
 from ovmkit.derivation import derive_initial_vm
-from ovmkit.model import (
-    Interaction,
-    InteractionKind,
-    InteractionLevel,
-    Layer,
-    ProductLineModel,
-    VariabilityModel,
-    VariabilityRefinement,
-    VariationPoint,
-    Variant,
-)
+from ovmkit.model import ProductLineModel
 from ovmkit.reduction import reduce
 
 BUDGET = 5000  # models up to this many unconstrained selections are enumerated
@@ -146,26 +139,6 @@ def test_count_on_random_models(seed, shape, keep_bindings, keep_interactions):
     assert same_count(plm)
 
 
-def forest_of_components() -> ProductLineModel:
-    """Five rooted trees r0..r4: each root has three variants, and the first
-    of them is refined by a child variation point with two variants.
-    Interactions join r0's tree with r1's and r2's with r3's, one more links
-    two variation points of r2's tree, and r4's tree stands alone."""
-    vps, variants, refinements = [], [], []
-    for t in range(5):
-        root, child = f"r{t}", f"r{t}c"
-        vps += [VariationPoint(id=vp, name=vp.upper(), level=Layer.FEATURE) for vp in (root, child)]
-        variants += [Variant(id=f"{root}.{i}", name=f"{root}.{i}", vp_id=root) for i in range(3)]
-        variants += [Variant(id=f"{child}.{i}", name=f"{child}.{i}", vp_id=child) for i in range(2)]
-        refinements.append(VariabilityRefinement(child_vp_id=child, parent_variant_id=f"{root}.0"))
-    edges = (("r0.1", "r1c.0"), ("r2.2", "r3.0"), ("r3.1", "r2c.1"), ("r2.0", "r2c.0"))
-    return ProductLineModel(vm=VariabilityModel(
-        variation_points=tuple(vps), variants=tuple(variants), refinements=tuple(refinements),
-        variant_interactions=tuple(
-            Interaction(from_id=a, to_id=b, kind=InteractionKind.INFORMATION,
-                        level=InteractionLevel.VARIANT) for a, b in edges)))
-
-
 def test_count_multiplies_components():
     plm = forest_of_components()
     # Each tree alone has 2 + 1 + 1 = 4 selections, so 4^5 = 1024 in all.
@@ -181,3 +154,56 @@ def test_count_multiplies_components():
         variants=tuple(v for v in plm.vm.variants if v.vp_id not in lone),
         refinements=tuple(r for r in plm.vm.refinements if r.child_vp_id not in lone)))
     assert count_valid(without, BUDGET) * 4 == expected
+
+
+@FUZZ
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(((4, 12), (8, 25), (14, 40), (25, 70))),
+    keep=st.sampled_from((0.1, 0.25, 0.5)),
+    keep_bindings=st.booleans(),
+)
+def test_random_models_of_several_groups(seed, shape, keep, keep_bindings):
+    # Thinning the interactions leaves most forests in several groups of
+    # roots, some still with interactions inside a tree or between two.
+    max_vps, max_variants = shape
+    rng = random.Random(seed)
+    plm = random_plm(rng, max_vps=max_vps, max_variants=max_variants)
+    edges = tuple(e for e in plm.vm.variant_interactions if rng.random() < keep)
+    plm = replace(plm, vm=replace(plm.vm, variant_interactions=edges))
+    if not keep_bindings:
+        plm = replace(plm, bindings=())
+    assert same_configurations(plm)
+    assert same_count(plm)
+
+
+def _without_interactions(plm):
+    return replace(plm, vm=replace(plm.vm, variant_interactions=()))
+
+
+def test_forest_of_components_enumerated():
+    plm = forest_of_components()
+    for model in (plm, _without_interactions(plm)):
+        assert same_configurations(model)
+        assert same_count(model)
+
+
+def test_model_without_variation_points():
+    plm = ProductLineModel()
+    assert enumerate_valid(plm, BUDGET) == [Configuration()]
+    assert count_valid(plm, BUDGET) == 1
+    assert same_configurations(plm)
+    assert same_count(plm)
+
+
+def test_group_whose_root_keeps_no_usable_variant():
+    # Every variant but r4's binds an activity, so r4 has nothing to try: the
+    # product is empty though the unconstrained space is not.
+    plm = forest_of_components()
+    plm = bind(plm, *(v.id for v in plm.vm.variants if not v.vp_id.startswith("r4")))
+    for model in (plm, _without_interactions(plm)):
+        assert unconstrained_count(model.vm) == 4 ** 5
+        assert enumerate_valid(model, BUDGET) == []
+        assert count_valid(model, BUDGET) == 0
+        assert same_configurations(model)
+        assert same_count(model)
