@@ -234,7 +234,6 @@ def enumerate_valid(
     return _build(Configuration, ("_sorted_ids",), len(found), found)
 
 
-@_collector_paused
 def count_valid(plm: ProductLineModel, budget: int | None = None) -> int:
     """``len(enumerate_valid(plm, budget))``, with the same refusals, but no
     configuration is built."""

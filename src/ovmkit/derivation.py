@@ -172,7 +172,7 @@ class _Lifting:
         self.artifact_edges = set(map(_KEY, plm.artifacts.interactions))
         self.lifted: list[tuple] = []  # artifact interactions the input lacks
         self.edges: defaultdict[Layer, list[tuple]] = defaultdict(list)
-        for edge in map(_KEY, plm.artifacts.interactions):
+        for edge in self.artifact_edges:  # each pass sorts its layer's edges first
             if edge[0] in bound and edge[1] in bound:
                 self.edges[activities[edge[0]].layer].append(edge)
 

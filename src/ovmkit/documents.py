@@ -145,7 +145,6 @@ def parse_variability_model(data: bytes) -> ProductLineModel:
     return plm
 
 
-@_collector_paused
 def parse_configuration(data: bytes) -> Configuration:
     return _CONFIGURATION.read(_body(data, KIND_CONFIGURATION)[1], "body")
 
@@ -439,9 +438,8 @@ class _Bindings:
 
     @staticmethod
     def column(items: list) -> tuple | None:
-        """A column read by the table whose key set every item has."""
-        keys = set(map(frozenset, items)) if _only({dict}, items) else set()
-        return next((t.column(items) for t in _Bindings.tables.values() if {t.keys} == keys), None)
+        """The first column read of a table, activity bindings first, that gives records."""
+        return next(filter(None, (t.column(items) for t in _Bindings.tables.values())), None)
 
     @staticmethod
     def items(bindings, pad: str) -> list[str]:

@@ -207,8 +207,9 @@ def _build(cls, names, n: int, *columns) -> list:
 
 def _collector_paused(func):
     """``func`` run with the cyclic collector off, turned back on at every exit
-    if it was on: in a call over a whole model, a tree of records, a collection
-    finds no garbage, and its walks of the records cost about 10% of a run."""
+    if it was on: calls that build or write a model, a trace or a configuration
+    list in bulk, or compare two models, would start collections, which find no
+    garbage in a tree of records and walk it for about 10% of a run."""
 
     @wraps(func)
     def paused(*args, **kwargs):

@@ -23,14 +23,19 @@ from ovmkit.cli import ReductionReport, build_parser, build_report, main
 from ovmkit.configs import BudgetExceededError, Configuration
 from ovmkit.documents import serialize
 from ovmkit.model import (
+    Activity,
     Binding,
     BindingKind,
+    FunctionalArtifact,
     Interaction,
     InteractionKind,
     InteractionLevel,
     Layer,
+    LayeredModel,
     ModelError,
     ProductLineModel,
+    Refinement,
+    RefinementKind,
     VariabilityModel,
     VariationPoint,
     Variant,
@@ -293,9 +298,12 @@ class TestPipeline:
         lifted = tmp_path / "lifted.json"
         layered, products = random_layered(random.Random(26), label_all_difs=True)
         lifted.write_bytes(serialize(layered, products=products))
+        conflict = tmp_path / "conflict.json"
+        conflict.write_bytes(serialize(strict_conflict()))
         ovmkit = f"{shlex.quote(sys.executable)} -S -m ovmkit"
         outputs = {}
         for hash_seed in "012":
+            env = {**CHILD_ENV, "PYTHONHASHSEED": hash_seed}
             for source in (hierarchical_path, lifted):
                 pipeline = (
                     f"set -o pipefail; {ovmkit} derive -i {shlex.quote(str(source))} -o - "
@@ -303,14 +311,42 @@ class TestPipeline:
                     f"> reduced.json && {ovmkit} report derived.json reduced.json "
                     f"--trace trace.json --format json")
                 result = subprocess.run(["bash", "-c", pipeline], cwd=tmp_path, check=True,
-                                        capture_output=True,
-                                        env={**CHILD_ENV, "PYTHONHASHSEED": hash_seed})
-                outputs.setdefault(source, set()).add((result.stdout, *(
+                                        capture_output=True, env=env)
+                strict = run_child("derive", "-i", str(source), "-o", "-", "--strict-alg1",
+                                   env=env)
+                assert strict.returncode == 0
+                outputs.setdefault(source, set()).add((result.stdout, strict.stdout, *(
                     (tmp_path / f"{name}.json").read_bytes()
                     for name in ("derived", "reduced", "trace"))))
+            strict = run_child("derive", "-i", str(conflict), "-o", "-", "--strict-alg1",
+                               env=env)
+            assert (strict.returncode, strict.stderr) == (
+                1, "error: variation point 'vp:K' would refine both variants 'v:f2' and 'v:f1'\n")
         for runs in outputs.values():
             [(report, *_)] = runs  # one output under every hash seed
             assert json.loads(report)["merges"]
+
+
+def strict_conflict() -> LayeredModel:
+    """Component activities of group K under functional ``f1`` (k1 to k8) and
+    ``f2`` (k0 and l1 of group L), and interactions k0 -> l1 to k8 -> l1. Strict
+    mode meets k0 -> l1 first in sorted-edge order, so it places ``vp:K`` under
+    ``v:f2`` before k1 -> l1 asks for ``v:f1``."""
+    fn, comp = Layer.FUNCTIONAL, Layer.COMPONENT
+    activities = [Activity("f1", "F1", fn, "fn", False, "F"),
+                  Activity("f2", "F2", fn, "fn", False, "F"),
+                  Activity("k0", "K0", comp, "c2", False, "K"),
+                  Activity("l1", "L1", comp, "c2", False, "L")]
+    activities += [Activity(f"k{i}", f"K{i}", comp, "c1", False, "K") for i in range(1, 9)]
+    return LayeredModel(
+        artifacts=tuple(FunctionalArtifact(art, layer, tuple(
+            a.id for a in activities if a.artifact_id == art))
+            for art, layer in (("fn", fn), ("c1", comp), ("c2", comp))),
+        activities=tuple(activities),
+        refinements=(Refinement("c1", "f1", RefinementKind.FUNCTIONAL),
+                     Refinement("c2", "f2", RefinementKind.FUNCTIONAL)),
+        interactions=tuple(Interaction(f"k{i}", "l1", InteractionKind.MATERIAL,
+                                       InteractionLevel.ARTIFACT) for i in range(9)))
 
 
 # What ``report`` prints for the hierarchical goldens, in process and in a child.

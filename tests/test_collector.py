@@ -1,10 +1,13 @@
-"""The cyclic collector during the library's whole-model calls.
+"""The cyclic collector during the library's calls.
 
-Each entry that reads, builds or writes a whole model runs with the
-collector off, through ``model._collector_paused``, and leaves it as it
-found it, on return and on a raise. ``cli.main`` runs a command through the
-same helper. A model is a tree of records, so a run of the pipeline leaves
-nothing for the collector to find.
+A call that builds or writes a model, a trace or a configuration list in
+bulk, or compares two models, runs with the collector off, through
+``model._collector_paused``; so does ``cli.main``, for a whole command. A
+paused call that found the collector on turns it back on when it returns or
+raises, even if another thread turned it off meanwhile; one that found it
+off leaves it off. The calls that read one configuration or count run with
+the collector as the caller left it. A model is a tree of records, so a run
+of the pipeline leaves nothing for the collector to find.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ def _layered():
 ENTRIES = {
     "documents.parse_layered_model": (_layered, documents, "_body"),
     "documents.parse_variability_model": (_plm, documents, "_body"),
-    "documents.parse_configuration": (lambda: documents.parse_configuration(
-        corpus_path("configs", "engine-valid.json").read_bytes()), documents, "_body"),
     "documents.parse_trace": (lambda: documents.parse_trace(
         (GOLDEN / "engine-flat-trace.json").read_bytes()), documents, "_body"),
     "documents.serialize": (lambda: documents.serialize(_plm()), documents, "_escape"),
@@ -49,11 +50,18 @@ ENTRIES = {
     "reduction.reduce": (lambda: reduction.reduce(_plm()), reduction, "roots"),
     "configs.enumerate_valid": (
         lambda: configs.enumerate_valid(_plm()), configs, "_search_space"),
-    "configs.count_valid": (lambda: configs.count_valid(_plm()), configs, "_search_space"),
     "cli.build_report": (
         lambda: cli.build_report(_plm(), _plm(), None, None), configs, "_counts"),
     "cli.main": (lambda: cli.main(["configs", "-i", str(ENGINE), "--count"]),
                  configs, "_search_space"),
+}
+
+
+# The calls that run unpaused, in the same form.
+UNPAUSED = {
+    "documents.parse_configuration": (lambda: documents.parse_configuration(
+        corpus_path("configs", "engine-valid.json").read_bytes()), documents, "_body"),
+    "configs.count_valid": (lambda: configs.count_valid(_plm()), configs, "_search_space"),
 }
 
 
@@ -78,10 +86,9 @@ def test_the_entries_are_every_paused_function():
     assert found == set(ENTRIES)
 
 
-@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
-@pytest.mark.parametrize("call, module, attr", ENTRIES.values(), ids=list(ENTRIES))
-def test_an_entry_runs_with_the_collector_off_and_restores_it(
-        monkeypatch, collector, call, module, attr, raises):
+def _observed(monkeypatch, call, module, attr, raises: bool) -> list[bool]:
+    """Whether the collector was on each time ``call`` reached ``module.attr``,
+    which raises ``Crash`` there when ``raises``."""
     seen, inner = [], getattr(module, attr)
 
     def observe(*args, **kwargs):
@@ -96,8 +103,39 @@ def test_an_entry_runs_with_the_collector_off_and_restores_it(
             call()
     else:
         call()
-    assert seen and not any(seen)
+    assert seen
+    return seen
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("call, module, attr", ENTRIES.values(), ids=list(ENTRIES))
+def test_an_entry_runs_with_the_collector_off_and_restores_it(
+        monkeypatch, collector, call, module, attr, raises):
+    assert not any(_observed(monkeypatch, call, module, attr, raises))
     assert gc.isenabled() == collector
+
+
+@pytest.mark.parametrize("call, module, attr", UNPAUSED.values(), ids=list(UNPAUSED))
+def test_an_unpaused_call_runs_with_the_collector_as_the_caller_left_it(
+        monkeypatch, collector, call, module, attr):
+    assert set(_observed(monkeypatch, call, module, attr, False)) == {collector}
+    assert gc.isenabled() == collector
+
+
+@pytest.mark.parametrize("collector", [True], ids=["on"], indirect=True)
+def test_a_paused_call_that_found_the_collector_on_turns_it_on_at_its_end(
+        monkeypatch, collector):
+    """Even when something turned it off meanwhile, as another thread may."""
+    plm = _plm()
+
+    def turn_off(*args):
+        gc.disable()
+        raise Crash
+
+    monkeypatch.setattr(configs, "_search_space", turn_off)
+    with pytest.raises(Crash):
+        configs.enumerate_valid(plm)
+    assert gc.isenabled()
 
 
 def test_a_run_leaves_no_cyclic_garbage():

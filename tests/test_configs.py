@@ -429,6 +429,21 @@ class TestRootGroups:
         assert listed == sorted(set(listed)) and len(listed) == 82 ** 2
         assert all(ids == tuple(sorted(ids)) for ids in listed)
 
+    def test_a_space_with_no_interaction_is_counted_without_a_walk(self, leaves_walked):
+        # The recurrence over the choices counts it: six groups of ten selections,
+        # and one root whose single variant is refined by five roots of ten.
+        plm = grid(5)
+        one_root = replace(plm, vm=replace(
+            plm.vm,
+            variation_points=(*plm.vm.variation_points, VariationPoint("r", "R", Layer.FEATURE)),
+            variants=(*plm.vm.variants, Variant("r.0", "R.0", "r")),
+            refinements=tuple(VariabilityRefinement(vp.id, "r.0")
+                              for vp in plm.vm.variation_points)))
+        assert len(configs._search_space(grid(6), None)[3]) == 6
+        assert configs._search_space(one_root, None)[3] == [("r",)]
+        assert count_valid(grid(6)) == 10 ** 6 and count_valid(one_root) == 10 ** 5
+        assert leaves_walked == []
+
     def test_an_empty_space_walks_nothing(self, leaves_walked):
         # Five roots of ten variants, joined in pairs, and one with none: no
         # selection, so the budget admits it, and no group may be walked.

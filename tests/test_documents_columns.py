@@ -304,6 +304,15 @@ def _built_alike(got, want) -> None:
         assert list(vars(got).items()) == list(vars(want).items())
 
 
+def _record_reads(monkeypatch) -> list[str]:
+    """The places of the records ``_Table.read`` reads one by one from now on."""
+    per_record = []
+    read = documents._Table.read
+    monkeypatch.setattr(documents._Table, "read",
+                        lambda self, raw, where: per_record.append(where) or read(self, raw, where))
+    return per_record
+
+
 def _reread(value, edit=None, **kwargs):
     """``value`` written, its JSON passed through ``edit``, and read back."""
     doc = json.loads(documents.serialize(value, **kwargs))
@@ -348,10 +357,7 @@ def test_a_column_read_record_equals_one_its_constructor_builds(monkeypatch):
     def unsorted(layered_body):
         layered_body["artifacts"][0]["activities"] = ["f2", "f1", "f2"]
 
-    per_record = []
-    read = documents._Table.read
-    monkeypatch.setattr(documents._Table, "read",
-                        lambda self, raw, where: per_record.append(where) or read(self, raw, where))
+    per_record = _record_reads(monkeypatch)
     got_model, got_products = _reread(layered, unsorted, products=products)
     got_plms = [_reread(plm, lambda body: unsorted(body["layered"])) for plm in plms]
     got_trace = _reread(trace)
@@ -375,6 +381,20 @@ def test_a_column_read_record_equals_one_its_constructor_builds(monkeypatch):
     assert len(pairs) == 48
     for got, want in pairs:
         _built_alike(got, want)
+
+
+@pytest.mark.parametrize("kinds", [(BindingKind.ACTIVITY_VARIANT,), (BindingKind.ARTIFACT_VP,),
+                                   tuple(BindingKind)], ids=["activity", "artifact", "mixed"])
+def test_a_bindings_array_of_one_kind_is_read_a_column_at_a_time(monkeypatch, kinds):
+    """2,000 bindings of one kind are read with no per-record read; a mixed
+    array is read record by record. Both give the records in array order."""
+    keys = {BindingKind.ACTIVITY_VARIANT: ("activity", "variant"),
+            BindingKind.ARTIFACT_VP: ("artifact", "vp")}
+    items = [dict(zip(keys[kinds[i % len(kinds)]], (f"s{i}", f"t{i}"))) for i in range(2000)]
+    per_record = _record_reads(monkeypatch)
+    got = documents._records(documents._Bindings).read({"bindings": items}, "body", "bindings")
+    assert got == tuple(Binding(kinds[i % len(kinds)], f"s{i}", f"t{i}") for i in range(2000))
+    assert len(per_record) == (0 if len(kinds) == 1 else 2000)
 
 
 # -- the writer at column sizes ----------------------------------------------
